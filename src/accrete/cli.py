@@ -307,6 +307,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _sweep_rows(cfg: RunConfig) -> tuple[treadmill.Scales, list[SweepRow]]:
+    if not (np.isfinite(cfg.eta_min) and np.isfinite(cfg.eta_max)):
+        raise ConfigError("eta range must be finite")
     if not (cfg.eta_min > 0.0 and cfg.eta_max > cfg.eta_min):
         raise ConfigError("eta range must satisfy 0 < eta-min < eta-max")
     if cfg.points < 2:
@@ -317,18 +319,18 @@ def _sweep_rows(cfg: RunConfig) -> tuple[treadmill.Scales, list[SweepRow]]:
         raise NoTreadmillingState(dec.reason)
     scales = treadmill.compute_scales(base)
     nu_star, _, _ = treadmill.small_bead_asymptote(base)
+    d_small = nu_star - 1.0
+    # Vstar and Vstarstar do not depend on r0, so the diffusion-limited
+    # estimate (Vstar/Vstarstar - 1)/eta of large_bead_asymptote needs only
+    # the base scales.
+    diffusion_limited = scales.Vstarstar > 0.0
     if cfg.linear:
         etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.points)
     else:
         etas = np.geomspace(cfg.eta_min, cfg.eta_max, cfg.points)
     rows = []
-    for eta in (float(e) for e in etas):
-        p = dataclasses.replace(base, r0=eta * scales.ellStar)
-        st = treadmill.solve(p)
-        if scales.Vstarstar > 0.0:
-            d_diff = treadmill.large_bead_asymptote(p, eta)[0]
-        else:
-            d_diff = None
+    for eta in etas.tolist():
+        st = treadmill.solve(dataclasses.replace(base, r0=eta * scales.ellStar))
         rows.append(
             SweepRow(
                 eta=eta,
@@ -339,8 +341,10 @@ def _sweep_rows(cfg: RunConfig) -> tuple[treadmill.Scales, list[SweepRow]]:
                 mu0=st.mu0,
                 f0=st.f0,
                 f1=st.f1,
-                d_small_bead_est=nu_star - 1.0,
-                d_diffusion_limited_est=d_diff,
+                d_small_bead_est=d_small,
+                d_diffusion_limited_est=(
+                    (scales.Vstar / scales.Vstarstar - 1.0) / eta if diffusion_limited else None
+                ),
             )
         )
     return scales, rows
@@ -359,14 +363,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
             {
                 "params": _params_doc(cfg),
                 "scales": _scales_doc(scales),
-                "rows": [dataclasses.asdict(row) for row in rows],
+                "rows": [{name: getattr(row, name) for name in SWEEP_FIELDS} for row in rows],
             },
         )
     else:
         lines = [",".join(SWEEP_FIELDS)]
         for row in rows:
-            values = dataclasses.asdict(row)
-            lines.append(",".join(_fmt(values[name]) for name in SWEEP_FIELDS))
+            lines.append(",".join(_fmt(getattr(row, name)) for name in SWEEP_FIELDS))
         _write_lines(cfg, lines)
     return EXIT_OK
 
@@ -374,6 +377,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list[dict]]:
     if cfg.grid_n < 2:
         raise ConfigError("need at least 2 profile points")
+    for name in ("r1", "v0"):
+        value = getattr(cfg, name)
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"--{name} must be finite")
     energy = cfg.energy()
     gscale = strain_energy.modulus_scale(energy)
 

@@ -39,7 +39,10 @@ __all__ = [
 
 
 def _check_positive_stretch(lam) -> None:
-    if np.any(np.asarray(lam) <= 0.0):
+    if type(lam) is float or type(lam) is np.float64:
+        if lam <= 0.0:
+            raise ValueError("stretch must be positive")
+    elif np.any(np.asarray(lam) <= 0.0):
         raise ValueError("stretch must be positive")
 
 
@@ -67,6 +70,12 @@ class NeoHookean(ReducedEnergy):
 
     w(lam) = (G/2) (lam**-4 + 2 lam**2 - 3)
 
+    w is evaluated as (G/2) y**2 (2 lam**2 + 1) with
+    y = (lam - 1)(lam + 1)/lam**2.  That equals the form above and keeps
+    full relative precision near lam = 1, where the sum cancels; the root
+    finder's Newton iteration needs F at rounding level there.  Where the
+    sum overflows, this form overflows too, in the same way.
+
     Parameters
     ----------
     G : float
@@ -83,7 +92,8 @@ class NeoHookean(ReducedEnergy):
 
     def w(self, lam):
         _check_positive_stretch(lam)
-        return 0.5 * self.G * (lam**-4 + 2.0 * lam**2 - 3.0)
+        y = (lam - 1.0) / lam * ((lam + 1.0) / lam)
+        return 0.5 * self.G * (y**2 * (2.0 * lam**2 + 1.0))
 
     def dw(self, lam):
         _check_positive_stretch(lam)

@@ -13,10 +13,14 @@ unbounded, and eta is the bead radius measured in the diffusion length
 ellStar.  A root with g(1) - h(1) = Vstar - Vstarstar > 0 therefore exists
 and is unique exactly when Vstar > 0 and Vstar > Vstarstar.
 
-The root finder never needs derivatives: it brackets by doubling (nu - 1)
-and then runs a secant iteration safeguarded by bisection until the
-bracket collapses to machine resolution.  Everything downstream of nu is
-closed-form back-substitution.
+The equation is solved for the thickness u = nu - 1 = d/r0, with the
+drive 1 - Vstarstar/Vstar = (mu_inf - muStar) rhoR/(b1 Vstar) computed from
+the inputs rather than from the rounded scales, which cancel for thin
+shells.  The root finder brackets the root with w alone, from an estimate
+that models w as quadratic in u, and then runs a Newton iteration on the
+analytic dw, safeguarded by bisection; a solve typically costs three
+evaluations of w.  Everything downstream of nu is closed-form
+back-substitution.
 """
 
 from __future__ import annotations
@@ -47,7 +51,13 @@ __all__ = [
 ]
 
 _LAM_CAP = 1e9
-_FIRST_STEP = 1e-3
+# Smallest float above 1; the bracketing probes never go below it.
+_ONE_UP = 1.0 + 2.0**-52
+# A Newton step of at most _NOISE * lam that fails the safeguard is taken
+# as rounding noise in F, and ends the iteration.  The iteration gives up
+# after _MAX_STEPS steps; bisection alone never needs that many.
+_NOISE = 4.0 * 2.0**-52
+_MAX_STEPS = 200
 
 
 class NoTreadmillingState(Exception):
@@ -145,19 +155,28 @@ class Solvability:
 
 
 def compute_scales(params: ModelParams) -> Scales:
-    """Characteristic velocity, length and potential scales."""
+    """Characteristic velocity, length and potential scales.
+
+    Raises ValueError when a scale leaves the float range, as it does for
+    rhoR = 1e-200, whose square underflows to zero.
+    """
     bsum = params.b0 + params.b1
-    Vstar = (params.muR1 - params.muR0) * params.rhoR / bsum
-    Vstarstar = (params.muR1 - params.mu_inf) * params.rhoR / params.b1
-    ellStar = bsum * params.M / params.rhoR**2
-    muStar = (params.b0 * params.muR1 + params.b1 * params.muR0) / bsum
-    return Scales(
-        Vstar=Vstar,
-        Vstarstar=Vstarstar,
+    try:
+        ellStar = bsum * params.M / params.rhoR**2
+        eta = params.r0 / ellStar
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("diffusion length ellStar is out of the float range") from None
+    s = Scales(
+        Vstar=(params.muR1 - params.muR0) * params.rhoR / bsum,
+        Vstarstar=(params.muR1 - params.mu_inf) * params.rhoR / params.b1,
         ellStar=ellStar,
-        muStar=muStar,
-        eta=params.r0 / ellStar,
+        muStar=(params.b0 * params.muR1 + params.b1 * params.muR0) / bsum,
+        eta=eta,
     )
+    for name, value in vars(s).items():
+        if not math.isfinite(value):
+            raise ValueError(f"scale {name} is not finite")
+    return s
 
 
 def solvable(params: ModelParams) -> Solvability:
@@ -166,12 +185,23 @@ def solvable(params: ModelParams) -> Solvability:
     A state exists iff Vstar > 0 and Vstar > Vstarstar; in terms of the
     chemistry these are muR1 > muR0 and mu_inf > muStar.
     """
-    s = compute_scales(params)
+    return _decide(compute_scales(params))
+
+
+def _decide(s: Scales) -> Solvability:
     if not s.Vstar > 0.0:
         return Solvability(False, "Vstar <= 0 (requires muR1 > muR0)")
     if not s.Vstar > s.Vstarstar:
         return Solvability(False, "Vstar <= Vstarstar (requires mu_inf > muStar)")
     return Solvability(True)
+
+
+def _check_lam(lam) -> None:
+    if type(lam) is float or type(lam) is np.float64:
+        if lam < 1.0:
+            raise ValueError("lam must be >= 1")
+    elif np.any(np.asarray(lam) < 1.0):
+        raise ValueError("lam must be >= 1")
 
 
 def g(eta: float, lam: float, Vstar: float):
@@ -180,8 +210,7 @@ def g(eta: float, lam: float, Vstar: float):
     Strictly decreasing in lam for eta > 0.  The factor is evaluated as
     (lam - 1)/lam, which is exact near lam = 1 where 1 - 1/lam cancels.
     """
-    if np.any(np.asarray(lam) < 1.0):
-        raise ValueError("lam must be >= 1")
+    _check_lam(lam)
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
     return Vstar / (1.0 + eta * (lam - 1.0) / lam)
@@ -189,61 +218,113 @@ def g(eta: float, lam: float, Vstar: float):
 
 def h(lam: float, Vstarstar: float, b1: float, energy: ReducedEnergy):
     """Demand-side curve h = Vstarstar + w(lam)/b1; increasing, unbounded."""
-    if np.any(np.asarray(lam) < 1.0):
-        raise ValueError("lam must be >= 1")
+    _check_lam(lam)
     return Vstarstar + energy.w(lam) / b1
 
 
-def _find_root(F, f_at_1: float) -> float:
-    """Root of a strictly decreasing F on (1, inf) with F(1) = f_at_1 > 0.
+def _estimate(drive: float, eta: float, k: float) -> float:
+    """Root u > 0 of eta u/(1 + (1 + eta) u) + k u**2 = drive.
 
-    Brackets by doubling (lam - 1) from _FIRST_STEP, then iterates a
-    secant step safeguarded by bisection.  The loop runs until the bracket
-    collapses to adjacent floats and returns the endpoint with the smaller
-    |F|; for a monotone F that endpoint is the best representable root, so
-    back-substituted residuals sit at rounding level.
+    This is F(u) = 0 with w/wscale replaced by k u**2; it starts the root
+    finder.  The left side is the sum of two increasing terms, so the
+    smaller of the u at which either alone reaches the drive bounds the
+    root from above.  Newton steps on the equivalent convex cubic
+    k A u**3 + k u**2 + (eta - A drive) u - drive, with A = 1 + eta, fall
+    from that bound monotonically towards the root.  With k = 0 the root
+    is where the eta term alone reaches the drive, inf if it never does.
     """
-    a, fa = 1.0, f_at_1
-    u = _FIRST_STEP
+    a = 1.0 + eta
+    c1 = eta - a * drive
+    u = drive / c1 if c1 > 0.0 else math.inf
+    if not k > 0.0:
+        return u
+    u = min(u, math.sqrt(drive / k))
+    for _ in range(4):
+        u -= (((k * a * u + k) * u + c1) * u - drive) / ((3.0 * k * a * u + 2.0 * k) * u + c1)
+    return u
+
+
+def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
+    """Root of F(u) = drive - eta u/(1 + (1 + eta) u) - w(1 + u)/wscale.
+
+    u = nu - 1 is the thickness d/r0.  F(0) = drive > 0 and F falls
+    strictly when w grows, so the root is unique.  Every iterate is taken
+    as the thickness of a float lam = 1 + u, so F is evaluated at the
+    value that is returned.  Returns (lam, w(lam)), so callers can
+    back-substitute without another call.
+
+    Bracketing calls only w.  F is evaluated first at min(1, u_eta), where
+    u_eta is the u at which the eta term alone reaches the drive.  Each
+    evaluation fits k = w/(wscale u**2) and solves the model equation of
+    _estimate; while F stays positive, u moves to twice that estimate, and
+    NumericFailure is raised once lam would pass _LAM_CAP.  From the
+    estimate, clipped to the bracket, a safeguarded Newton iteration
+    ("rtsafe", Numerical Recipes 9.4) takes the step -F/F' while it lands
+    inside the bracket and is at most half the step before last, and
+    bisects otherwise.  It stops when the Newton step rounds to the same
+    lam, when a rejected Newton step is within a few ulp of lam (F is then
+    down to its rounding noise), or when the bracket holds no float between
+    its ends, and returns the bracket endpoint with the smaller |F|.
+    """
+    w = energy.w
+    a1 = 1.0 + eta
+
+    def model(u: float, wu: float) -> float:
+        return _estimate(drive, eta, wu / (wscale * u * u))
+
+    lo, f_lo, w_lo = 0.0, drive, 0.0
+    u = min(1.0, _estimate(drive, eta, 0.0))
     while True:
-        b = 1.0 + u
-        if b > _LAM_CAP:
+        lam = max(1.0 + u, _ONE_UP)
+        if not lam <= _LAM_CAP:
             raise NumericFailure(
                 f"no sign change below lam = {_LAM_CAP:g}; energy growth assumption violated?"
             )
-        fb = F(b)
-        if fb <= 0.0:
+        u = lam - 1.0
+        wu = w(lam)
+        fu = drive - eta * u / (1.0 + a1 * u) - wu / wscale
+        if fu <= 0.0:
             break
-        a, fa = b, fb
-        u *= 2.0
-    if fb == 0.0:
-        return b
+        lo, f_lo, w_lo = u, fu, wu
+        u = 2.0 * model(u, wu)
+    if fu == 0.0:
+        return lam, wu
+    hi, f_hi, w_hi = u, fu, wu
 
-    side = 0
-    stall = 0
-    for _ in range(300):
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            break
-        x = b - fb * (b - a) / (fb - fa)
-        if stall >= 2 or not (a < x < b):
-            x = mid
-        fx = F(x)
+    x = (1.0 + model(u, wu)) - 1.0
+    if not lo < x < hi:
+        x = lo if x <= lo else hi
+    step = step_old = hi - lo
+    dw = energy.dw
+    for _ in range(_MAX_STEPS):
+        lam = 1.0 + x
+        wx = w(lam)
+        q = 1.0 + a1 * x
+        fx = drive - eta * x / q - wx / wscale
         if fx > 0.0:
-            stall = stall + 1 if side == -1 else 1
-            side = -1
-            a, fa = x, fx
+            lo, f_lo, w_lo = x, fx, wx
         elif fx < 0.0:
-            stall = stall + 1 if side == 1 else 1
-            side = 1
-            b, fb = x, fx
+            hi, f_hi, w_hi = x, fx, wx
         else:
-            return x
-        if x == mid:
-            stall = 0
-    if (b - a) > 1e-9 * b:
+            return lam, wx
+        dfx = -eta / (q * q) - dw(lam) / wscale
+        newton = fx / dfx if dfx < 0.0 else math.inf
+        x_new = (lam - newton) - 1.0
+        if x_new == x:
+            break
+        if not (lo < x_new < hi and abs(newton + newton) <= abs(step_old)):
+            if abs(newton) <= _NOISE * lam:
+                break
+            x_new = (1.0 + 0.5 * (lo + hi)) - 1.0
+            if not lo < x_new < hi:
+                break
+        step_old, step = step, x - x_new
+        x = x_new
+    else:
         raise NumericFailure("root iteration failed to converge")
-    return a if abs(fa) <= abs(fb) else b
+    if abs(f_lo) < abs(f_hi):
+        return 1.0 + lo, w_lo
+    return 1.0 + hi, w_hi
 
 
 def solve(params: ModelParams) -> TreadmillState:
@@ -254,24 +335,27 @@ def solve(params: ModelParams) -> TreadmillState:
     energies that grow without bound).
 
     The equation is solved in the nondimensional variables
-    (nu, V/Vstar, w/(b1 Vstar)) so conditioning is uniform across many
-    decades of eta; outputs are dimensional.
+    (u = nu - 1, V/Vstar, w/(b1 Vstar)) so conditioning is uniform across
+    many decades of eta; outputs are dimensional.
     """
-    dec = solvable(params)
+    s = compute_scales(params)
+    dec = _decide(s)
     if not dec.ok:
         raise NoTreadmillingState(dec.reason)
-    s = compute_scales(params)
-    energy = params.energy
-    eta = s.eta
-    vss = s.Vstarstar / s.Vstar
-    wscale = params.b1 * s.Vstar
+    # The drive 1 - Vstarstar/Vstar = (mu_inf - muStar) rhoR/(b1 Vstar),
+    # taken from the inputs.  Near mu_inf = muStar both of those forms
+    # cancel after rounding Vstarstar/Vstar or muStar, and showed up to four
+    # times the error of this one.
+    drive = (
+        params.b0 * (params.mu_inf - params.muR1) + params.b1 * (params.mu_inf - params.muR0)
+    ) / (params.b1 * (params.muR1 - params.muR0))
+    if not drive > 0.0:
+        # mu_inf within rounding of muStar, which the existence test does
+        # not see; the quotient is positive whenever Vstar > Vstarstar.
+        drive = 1.0 - s.Vstarstar / s.Vstar
+    nu, w_nu = _find_root(params.energy, params.b1 * s.Vstar, drive, s.eta)
 
-    def F(lam: float) -> float:
-        return 1.0 / (1.0 + eta * (lam - 1.0) / lam) - vss - energy.w(lam) / wscale
-
-    nu = _find_root(F, 1.0 - vss)
-
-    V0 = s.Vstarstar + float(energy.w(nu)) / params.b1
+    V0 = s.Vstarstar + float(w_nu) / params.b1
     mu0 = params.mu_inf - (params.b0 + params.b1) * (s.Vstar - V0) / params.rhoR
     return TreadmillState(
         nu=nu,
@@ -317,8 +401,7 @@ def grid_scan_oracle(
 
 def _root_of_w(energy: ReducedEnergy, b1: float, target: float) -> float:
     """Unique lam > 1 with w(lam)/b1 = target, for target > 0."""
-    scale = b1 * target
-    return _find_root(lambda lam: 1.0 - energy.w(lam) / scale, 1.0)
+    return _find_root(energy, b1 * target, 1.0, 0.0)[0]
 
 
 def small_bead_asymptote(params: ModelParams) -> tuple[float, float, float]:

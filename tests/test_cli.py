@@ -14,7 +14,14 @@ import pytest
 
 from accrete import cli
 from accrete.strain_energy import NeoHookean
-from accrete.treadmill import ModelParams, NumericFailure, compute_scales, solve
+from accrete.treadmill import (
+    ModelParams,
+    NumericFailure,
+    compute_scales,
+    large_bead_asymptote,
+    small_bead_asymptote,
+    solve,
+)
 
 SWEEP_HEADER = (
     "eta,nu,d_over_r0,V0,V0_over_Vstar,mu0,f0,f1,d_small_bead_est,d_diffusion_limited_est"
@@ -153,6 +160,15 @@ def test_nonpositive_parameter_is_input_error(capsys):
     assert "must be positive" in err
 
 
+@pytest.mark.parametrize("rhoR", ["1e-200", "1e200"])
+def test_scales_out_of_float_range_is_input_error(capsys, rhoR):
+    # rhoR**2 underflows to zero or overflows, and ellStar with it
+    code, out, err = run(capsys, ["solve", "--set", f"chem.rhoR={rhoR}"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_unsolvable_chemistry_exit_code(capsys):
     code, _, err = run(capsys, ["solve", "--set", "chem.muR1=-1"])
     assert code == 3
@@ -256,6 +272,42 @@ def test_sweep_range_validation(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--eta-max", "inf"],
+        ["sweep", "--eta-max", "nan"],
+        ["sweep", "--eta-min", "nan"],
+        ["profiles", "--r1", "inf"],
+        ["profiles", "--r1", "nan"],
+        ["profiles", "--r1", "2.0", "--v0", "inf"],
+        ["profiles", "--r1", "2.0", "--v0", "nan"],
+    ],
+)
+def test_nonfinite_options_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_sweep_estimates_match_library(capsys):
+    for mu_inf in ("2.5", "5.53125"):
+        code, out, _ = run(capsys, ["sweep", "--points", "9", "--set", f"chem.mu_inf={mu_inf}"])
+        assert code == 0
+        _, rows = read_csv(out)
+        base = default_params(mu_inf=float(mu_inf))
+        ell = compute_scales(base).ellStar
+        nu_star = small_bead_asymptote(base)[0]
+        diffusion_limited = compute_scales(base).Vstarstar > 0.0
+        for row in rows:
+            eta = float(row["eta"])
+            p = default_params(mu_inf=float(mu_inf), r0=eta * ell)
+            d_diff = format(large_bead_asymptote(p, eta)[0], ".17g") if diffusion_limited else ""
+            assert row["d_small_bead_est"] == format(nu_star - 1.0, ".17g")
+            assert row["d_diffusion_limited_est"] == d_diff
 
 
 # ---------------------------------------------------------------------------

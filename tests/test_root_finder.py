@@ -1,0 +1,217 @@
+"""Tests for the bracketed Newton root finder and the stretch guards.
+
+The root finder is judged by what it costs (energy calls per solve, over a
+seeded draw that reaches thin shells and both signs of Vstarstar) and by
+what a bad derivative may change (only the cost).  The guards are pinned
+input by input: each must raise or pass exactly as the plain numpy test
+``np.any(np.asarray(lam) <= 0)`` (or ``< 1`` for g and h) decides.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from accrete.strain_energy import NeoHookean
+from accrete.treadmill import ModelParams, compute_scales, g, h, solve
+
+
+class CountingEnergy(NeoHookean):
+    """Neo-Hookean energy that counts its w, dw and d2w calls."""
+
+    def __init__(self, G):
+        super().__init__(G)
+        self.calls = {"w": 0, "dw": 0, "d2w": 0}
+
+    def w(self, lam):
+        self.calls["w"] += 1
+        return super().w(lam)
+
+    def dw(self, lam):
+        self.calls["dw"] += 1
+        return super().dw(lam)
+
+    def d2w(self, lam):
+        self.calls["d2w"] += 1
+        return super().d2w(lam)
+
+
+class SkewedDerivative(NeoHookean):
+    """Neo-Hookean with a first derivative 1% too large."""
+
+    def dw(self, lam):
+        return 1.01 * super().dw(lam)
+
+
+class WrongSignDerivative(NeoHookean):
+    """Neo-Hookean whose first derivative points the wrong way."""
+
+    def dw(self, lam):
+        return -super().dw(lam)
+
+
+def draw(rng, energy):
+    """G, b0, b1, the drive mu_inf - muStar and eta, log-uniform.
+
+    The drive runs from 1e-12 to 10 and eta from 1e-6 to 1e6, so the draw
+    holds thin shells and, with muR1 = 3, both signs of Vstarstar.
+    """
+    G, b0, b1 = 10.0 ** rng.uniform(-1.0, 1.0, 3)
+    drive = 10.0 ** rng.uniform(-12.0, 1.0)
+    eta = 10.0 ** rng.uniform(-6.0, 6.0)
+    mu_star = 3.0 * b0 / (b0 + b1)
+    return ModelParams(
+        energy=energy(G), b0=b0, b1=b1, muR0=0.0, muR1=3.0,
+        mu_inf=mu_star + drive, rhoR=1.0, M=1.0, r0=eta * (b0 + b1),
+    )
+
+
+def test_energy_calls_per_solve():
+    rng = np.random.default_rng(20261018)
+    w_calls, signs = [], set()
+    for _ in range(400):
+        p = draw(rng, CountingEnergy)
+        signs.add(compute_scales(p).Vstarstar > 0.0)
+        solve(p)
+        w_calls.append(p.energy.calls["w"])
+        assert p.energy.calls["d2w"] == 0
+    assert signs == {True, False}
+    # The secant/bisection finder this replaces needed 23 w calls at the
+    # median and 117 at worst on this draw (3 and 9 now).
+    assert np.median(w_calls) <= 10
+    assert max(w_calls) < 104
+
+
+@pytest.mark.parametrize("energy", [SkewedDerivative, WrongSignDerivative])
+def test_bad_derivative_costs_iterations_not_the_answer(energy):
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        state = rng.bit_generator.state
+        good = solve(draw(rng, NeoHookean))
+        rng.bit_generator.state = state
+        bad = solve(draw(rng, energy))
+        assert bad.nu == pytest.approx(good.nu, rel=1e-12, abs=0.0)
+
+
+def thickness_reference(G, mu_inf, eta):
+    """d/r0 at 50 digits for b0 = b1 = rhoR = M = 1, muR0 = 0, muR1 = 3.
+
+    muStar = 1.5 and Vstar = 1.5 are exact, so the drive is exact too.  The
+    energy is written as (G/2) x**2 (2 lam**2 + 1)/lam**4, x = lam**2 - 1.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        drive = (mpmath.mpf(mu_inf) - mpmath.mpf(1.5)) / mpmath.mpf(1.5)
+        eta = mpmath.mpf(eta)
+
+        def F(u):
+            lam2 = (1 + u) ** 2
+            x = lam2 - 1
+            w = mpmath.mpf(G) / 2 * x * x * (2 * lam2 + 1) / (lam2 * lam2)
+            return drive - eta * u / (1 + (1 + eta) * u) - w / mpmath.mpf(1.5)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while F(hi) > 0:
+            lo, hi = hi, 2 * hi
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if F(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+@pytest.mark.parametrize("drive", [1e-12, 1e-8, 1e-4, 1.0, 4.0])
+@pytest.mark.parametrize("eta", [1e-6, 1.0, 1e6])
+def test_thickness_matches_high_precision_reference(drive, eta):
+    G = 1.0
+    mu_inf = 1.5 + drive
+    p = ModelParams(
+        energy=NeoHookean(G), b0=1.0, b1=1.0, muR0=0.0, muR1=3.0,
+        mu_inf=mu_inf, rhoR=1.0, M=1.0, r0=2.0 * eta,
+    )
+    ref = thickness_reference(G, mu_inf, eta)
+    nu = solve(p).nu
+    # nu is a float near 1, so d/r0 = nu - 1 carries an absolute error of
+    # at least half an ulp of nu; a few ulp of nu are allowed on top.
+    assert abs((nu - 1.0) - ref) <= 1e-13 * ref + 4.0 * 2.0**-52 * nu
+
+
+# ---------------------------------------------------------------------------
+# guards
+
+GUARD_CASES = [
+    # (lam, raises for lam <= 0, raises for lam < 1)
+    (2.0, False, False),
+    (1.0, False, False),
+    (0.5, False, True),
+    (0.0, True, True),
+    (-0.0, True, True),
+    (-1.0, True, True),
+    (float("nan"), False, False),
+    (2, False, False),
+    (0, True, True),
+    (np.float64(2.0), False, False),
+    (np.float64(0.5), False, True),
+    (np.float64(0.0), True, True),
+    (np.float64("nan"), False, False),
+    (np.array(2.0), False, False),
+    (np.array(0.5), False, True),
+    (np.array(0.0), True, True),
+    (np.array([2.0, 3.0]), False, False),
+    (np.array([2.0, 0.5]), False, True),
+    (np.array([2.0, 0.0]), True, True),
+    (np.array([np.nan, 2.0]), False, False),
+]
+
+
+@pytest.mark.parametrize("lam, nonpositive, below_one", GUARD_CASES)
+def test_guard_table_is_the_numpy_rule(lam, nonpositive, below_one):
+    assert nonpositive == bool(np.any(np.asarray(lam) <= 0.0))
+    assert below_one == bool(np.any(np.asarray(lam) < 1.0))
+
+
+@pytest.mark.parametrize("method", ["w", "dw", "d2w"])
+@pytest.mark.parametrize("lam, nonpositive, below_one", GUARD_CASES)
+def test_energy_guard(method, lam, nonpositive, below_one):
+    fn = getattr(NeoHookean(1.0), method)
+    if nonpositive:
+        with pytest.raises(ValueError, match="stretch must be positive"):
+            fn(lam)
+    else:
+        fn(lam)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        lambda lam: g(1.0, lam, 1.0),
+        lambda lam: h(lam, 0.5, 1.0, NeoHookean(1.0)),
+    ],
+    ids=["g", "h"],
+)
+@pytest.mark.parametrize("lam, nonpositive, below_one", GUARD_CASES)
+def test_curve_guard(curve, lam, nonpositive, below_one):
+    if below_one:
+        with pytest.raises(ValueError, match="lam must be >= 1"):
+            curve(lam)
+    else:
+        curve(lam)
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, accrete.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

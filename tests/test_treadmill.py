@@ -102,6 +102,20 @@ def test_scale_identity():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(rhoR=1e-200),  # rhoR**2 underflows to zero
+        dict(rhoR=1e200),  # rhoR**2 overflows
+        dict(M=1e-320, rhoR=1e10),  # ellStar underflows to zero
+        dict(muR0=-1e308, muR1=1e308),  # Vstar overflows
+    ],
+)
+def test_scales_out_of_float_range(kw):
+    with pytest.raises(ValueError):
+        compute_scales(make_params(**kw))
+
+
 def test_solvable_cases():
     assert solvable(make_params()).ok
     assert solvable(make_params()).reason is None
