@@ -21,6 +21,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .treadmill import NoTreadmillingState, NumericFailure
 
 __all__ = [
     "RunConfig",
-    "SweepRow",
     "ConfigError",
     "cmd_solve",
     "cmd_sweep",
@@ -152,19 +152,15 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One eta point of a sweep; estimate columns may be unavailable (None)."""
+class _Table:
+    """Named columns of an output table.
 
-    eta: float
-    nu: float
-    d_over_r0: float
-    V0: float
-    V0_over_Vstar: float
-    mu0: float
-    f0: float
-    f1: float
-    d_small_bead_est: float | None
-    d_diffusion_limited_est: float | None
+    A column is a float64 array, or a list whose cells are str or None
+    (empty).  A column shorter than the table ends in empty cells.
+    """
+
+    names: tuple[str, ...]
+    columns: list
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -233,25 +229,72 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+def _cells(name: str, column, number, text, empty: str):
+    """Iterator over the formatted cells of one column: numbers with
+    number, strings with text.  A non-finite number raises at once."""
+    if isinstance(column, np.ndarray):
+        if not np.isfinite(column).all():
+            raise NumericFailure(f"non-finite {name} in the output")
+        return map(number, column.tolist())
+    return (empty if x is None else text(x) for x in column)
 
 
-def _write_lines(cfg: RunConfig, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _csv_number(x: float) -> str:
+    return format(x, ".17g")
 
 
-def _write_json(cfg: RunConfig, doc) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _csv_text(table: _Table) -> str:
+    cells = [
+        _cells(name, col, _csv_number, str, "")
+        for name, col in zip(table.names, table.columns)
+    ]
+    rows = map(",".join, zip_longest(*cells, fillvalue=""))
+    return "\n".join([",".join(table.names), *rows]) + "\n"
+
+
+def _dumps(doc) -> str:
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailure(f"non-finite value in the output: {exc}") from None
+
+
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2) text, with a _Table as the last value of
+    doc written as its list of row objects.
+
+    The rows are filled into one template with the strings json.dumps
+    gives for each cell (float repr, null, quoted strings), so no row
+    object is ever built.
+    """
+    key, table = list(doc.items())[-1]
+    if not isinstance(table, _Table):
+        return _dumps(doc) + "\n"
+    text = _dumps({**doc, key: []})  # ends in '"rows": []\n}'
+    cells = [
+        _cells(name, col, float.__repr__, json.dumps, "null")
+        for name, col in zip(table.names, table.columns)
+    ]
+    if not any(len(col) for col in table.columns):
+        return text + "\n"
+    template = (
+        "    {\n"
+        + ",\n".join(f"      {json.dumps(name)}: %s" for name in table.names)
+        + "\n    }"
+    )
+    body = ",\n".join(template % row for row in zip_longest(*cells, fillvalue="null"))
+    return text[:-4] + "[\n" + body + "\n  ]\n}\n"
+
+
+def _write(cfg: RunConfig, doc: dict | None, table: _Table) -> None:
+    """Write table as CSV, or doc as JSON, exactly as json.dumps(doc,
+    indent=2) lays it out; doc is only read for JSON.
+
+    The whole text is formatted before anything is written, and a number
+    that is not finite raises NumericFailure: NaN and infinities are not
+    valid JSON, and an inf in a CSV cell is no result either.
+    """
+    text = _json_text(doc) if cfg.fmt == "json" else _csv_text(table)
     if cfg.out is None:
         sys.stdout.write(text)
     else:
@@ -287,26 +330,19 @@ def cmd_solve(cfg: RunConfig) -> int:
     params = cfg.model_params()
     state = treadmill.solve(params)
     scales = treadmill.compute_scales(params)
-    if cfg.fmt == "json":
-        _write_json(
-            cfg,
-            {
-                "params": _params_doc(cfg),
-                "scales": _scales_doc(scales),
-                "state": _state_doc(state),
-            },
-        )
-    else:
-        lines = ["name,value"]
-        for name, value in _scales_doc(scales).items():
-            lines.append(f"{name},{_fmt(value)}")
-        for name, value in _state_doc(state).items():
-            lines.append(f"{name},{_fmt(value)}")
-        _write_lines(cfg, lines)
+    doc = {
+        "params": _params_doc(cfg),
+        "scales": _scales_doc(scales),
+        "state": _state_doc(state),
+    }
+    names = [*doc["scales"], *doc["state"]]
+    values = np.array([*doc["scales"].values(), *doc["state"].values()])
+    _write(cfg, doc, _Table(("name", "value"), [names, values]))
     return EXIT_OK
 
 
-def _sweep_rows(cfg: RunConfig) -> tuple[treadmill.Scales, list[SweepRow]]:
+def _sweep_rows(cfg: RunConfig) -> tuple[treadmill.Scales, list]:
+    """Scales of the base configuration and the sweep columns, in SWEEP_FIELDS order."""
     if not (np.isfinite(cfg.eta_min) and np.isfinite(cfg.eta_max)):
         raise ConfigError("eta range must be finite")
     if not (cfg.eta_min > 0.0 and cfg.eta_max > cfg.eta_min):
@@ -319,35 +355,34 @@ def _sweep_rows(cfg: RunConfig) -> tuple[treadmill.Scales, list[SweepRow]]:
         raise NoTreadmillingState(dec.reason)
     scales = treadmill.compute_scales(base)
     nu_star, _, _ = treadmill.small_bead_asymptote(base)
-    d_small = nu_star - 1.0
-    # Vstar and Vstarstar do not depend on r0, so the diffusion-limited
-    # estimate (Vstar/Vstarstar - 1)/eta of large_bead_asymptote needs only
-    # the base scales.
-    diffusion_limited = scales.Vstarstar > 0.0
     if cfg.linear:
         etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.points)
     else:
         etas = np.geomspace(cfg.eta_min, cfg.eta_max, cfg.points)
-    rows = []
-    for eta in etas.tolist():
+    solved = np.empty((len(etas), 5))
+    for i, eta in enumerate(etas.tolist()):
         st = treadmill.solve(dataclasses.replace(base, r0=eta * scales.ellStar))
-        rows.append(
-            SweepRow(
-                eta=eta,
-                nu=st.nu,
-                d_over_r0=st.nu - 1.0,
-                V0=st.V0,
-                V0_over_Vstar=st.V0 / scales.Vstar,
-                mu0=st.mu0,
-                f0=st.f0,
-                f1=st.f1,
-                d_small_bead_est=d_small,
-                d_diffusion_limited_est=(
-                    (scales.Vstar / scales.Vstarstar - 1.0) / eta if diffusion_limited else None
-                ),
-            )
-        )
-    return scales, rows
+        solved[i] = st.nu, st.V0, st.mu0, st.f0, st.f1
+    nu, V0, mu0, f0, f1 = solved.T
+    # Vstar and Vstarstar do not depend on r0, so the diffusion-limited
+    # estimate (Vstar/Vstarstar - 1)/eta of large_bead_asymptote needs only
+    # the base scales; it does not apply when Vstarstar <= 0.
+    d_diffusion_limited = (
+        (scales.Vstar / scales.Vstarstar - 1.0) / etas if scales.Vstarstar > 0.0 else []
+    )
+    columns = [
+        etas,
+        nu,
+        nu - 1.0,
+        V0,
+        V0 / scales.Vstar,
+        mu0,
+        f0,
+        f1,
+        np.full(len(etas), nu_star - 1.0),
+        d_diffusion_limited,
+    ]
+    return scales, columns
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -356,54 +391,36 @@ def cmd_sweep(cfg: RunConfig) -> int:
     All rows are computed before anything is written, so an unsolvable
     configuration fails before producing output.
     """
-    scales, rows = _sweep_rows(cfg)
-    if cfg.fmt == "json":
-        _write_json(
-            cfg,
-            {
-                "params": _params_doc(cfg),
-                "scales": _scales_doc(scales),
-                "rows": [{name: getattr(row, name) for name in SWEEP_FIELDS} for row in rows],
-            },
-        )
-    else:
-        lines = [",".join(SWEEP_FIELDS)]
-        for row in rows:
-            lines.append(",".join(_fmt(getattr(row, name)) for name in SWEEP_FIELDS))
-        _write_lines(cfg, lines)
+    scales, columns = _sweep_rows(cfg)
+    table = _Table(SWEEP_FIELDS, columns)
+    _write(cfg, {"params": _params_doc(cfg), "scales": _scales_doc(scales), "rows": table}, table)
     return EXIT_OK
 
 
-def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list[dict]]:
+def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list]:
+    """Solved state (None with --r1) and the profile columns, in PROFILE_FIELDS order."""
     if cfg.grid_n < 2:
         raise ConfigError("need at least 2 profile points")
     for name in ("r1", "v0"):
         value = getattr(cfg, name)
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"--{name} must be finite")
+    if cfg.v0 == 0.0:
+        raise ConfigError("--v0 must be nonzero; v_over_V0 divides by it")
     energy = cfg.energy()
     gscale = strain_energy.modulus_scale(energy)
 
     if cfg.r1 is not None:
-        # Mechanics-only mode: geometry given directly, no chemistry attached.
+        # Mechanics-only mode: geometry given directly, no chemistry attached,
+        # so side, h and mu are empty.
         geom = mechanics.ShellGeometry(cfg.r0, cfg.r1)
-        samples = mechanics.stress_profile(geom, energy, cfg.grid_n, V0=cfg.v0)
-        rows = []
-        for smp in samples:
-            rows.append(
-                {
-                    "r": smp.r,
-                    "side": None,
-                    "sigma_r_over_G": smp.sigma_r / gscale,
-                    "sigma_theta_over_G": smp.sigma_theta / gscale,
-                    "lam_r": smp.lam_r,
-                    "lam_theta": smp.lam_theta,
-                    "v_over_V0": None if cfg.v0 is None else smp.v / cfg.v0,
-                    "h": None,
-                    "mu": None,
-                }
-            )
-        return None, rows
+        f = mechanics.stress_profile(geom, energy, cfg.grid_n, V0=cfg.v0)
+        v_over_V0 = [] if cfg.v0 is None else f.v / cfg.v0
+        columns = [
+            f.r, [], f.sigma_r / gscale, f.sigma_theta / gscale,
+            f.lam_r, f.lam_theta, v_over_V0, [], [],
+        ]
+        return None, columns
 
     params = cfg.model_params()
     state = treadmill.solve(params)
@@ -417,57 +434,34 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
         transport=transport,
     )
     geom = mechanics.ShellGeometry(cfg.r0, state.r1)
-    samples = mechanics.stress_profile(geom, energy, cfg.grid_n, V0=state.V0)
-    rows = []
-    for smp in samples:
-        at_outer = smp.r == state.r1
-        rows.append(
-            {
-                "r": smp.r,
-                "side": "below" if at_outer else None,
-                "sigma_r_over_G": smp.sigma_r / gscale,
-                "sigma_theta_over_G": smp.sigma_theta / gscale,
-                "lam_r": smp.lam_r,
-                "lam_theta": smp.lam_theta,
-                "v_over_V0": smp.v / state.V0,
-                "h": profiles.h(smp.r, side="below" if at_outer else None),
-                "mu": profiles.mu(smp.r),
-            }
-        )
-    # The flux jumps at the outer surface; append the outside limit.
-    rows.append(
-        {
-            "r": state.r1,
-            "side": "above",
-            "sigma_r_over_G": None,
-            "sigma_theta_over_G": None,
-            "lam_r": None,
-            "lam_theta": None,
-            "v_over_V0": None,
-            "h": profiles.h(state.r1, side="above"),
-            "mu": profiles.mu(state.r1),
-        }
-    )
-    return state, rows
+    f = mechanics.stress_profile(geom, energy, cfg.grid_n, V0=state.V0)
+    # The flux jumps at the outer surface: the samples at r1 take the inside
+    # limit, and one more row at r1 the outside limit, where the mechanical
+    # columns end.
+    r = np.append(f.r, state.r1)
+    side = ["below" if at else None for at in (f.r == state.r1).tolist()] + ["above"]
+    h = np.append(profiles.h(f.r, side="below"), profiles.h(state.r1, side="above"))
+    columns = [
+        r, side, f.sigma_r / gscale, f.sigma_theta / gscale,
+        f.lam_r, f.lam_theta, f.v / state.V0, h, profiles.mu(r),
+    ]
+    return state, columns
 
 
 def cmd_profiles(cfg: RunConfig) -> int:
     """Emit radial profiles, solved from config or for an explicit geometry."""
-    state, rows = _profile_rows(cfg)
+    state, columns = _profile_rows(cfg)
+    table = _Table(PROFILE_FIELDS, columns)
+    doc = None
     if cfg.fmt == "json":
         params = cfg.model_params()
         doc = {
             "params": _params_doc(cfg),
             "scales": _scales_doc(treadmill.compute_scales(params)),
             "state": None if state is None else _state_doc(state),
-            "rows": rows,
+            "rows": table,
         }
-        _write_json(cfg, doc)
-    else:
-        lines = [",".join(PROFILE_FIELDS)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[name]) for name in PROFILE_FIELDS))
-        _write_lines(cfg, lines)
+    _write(cfg, doc, table)
     return EXIT_OK
 
 
@@ -512,21 +506,19 @@ def cmd_validate(cfg: RunConfig) -> int:
         )
 
     ok = all(c.passed for c in checks)
-    if cfg.fmt == "json":
-        doc = {
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-            ],
-            "ok": ok,
-        }
-        _write_json(cfg, doc)
-    else:
-        lines = ["check,passed,detail"]
-        for c in checks:
-            status = "pass" if c.passed else "fail"
-            detail = c.detail.replace(",", ";")
-            lines.append(f"{c.name},{status},{detail}")
-        _write_lines(cfg, lines)
+    doc = {
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        "ok": ok,
+    }
+    table = _Table(
+        ("check", "passed", "detail"),
+        [
+            [c.name for c in checks],
+            ["pass" if c.passed else "fail" for c in checks],
+            [c.detail.replace(",", ";") for c in checks],
+        ],
+    )
+    _write(cfg, doc, table)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -598,14 +590,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "profiles":
-            return cmd_profiles(cfg)
-        return cmd_validate(cfg)
+        # Overflow and NaN in array arithmetic are caught where they would
+        # be written (the writer raises NumericFailure), so numpy's warnings
+        # would only repeat them on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = _config_from_args(args)
+            if args.command == "solve":
+                return cmd_solve(cfg)
+            if args.command == "sweep":
+                return cmd_sweep(cfg)
+            if args.command == "profiles":
+                return cmd_profiles(cfg)
+            return cmd_validate(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "TransportParams",
     "SteadyProfiles",
@@ -41,14 +43,14 @@ class TransportParams:
 
 
 def flux(
-    r: float,
+    r,
     V0: float,
     V1: float,
     r0: float,
     r1: float,
     rhoR: float,
     side: str | None = None,
-) -> float:
+):
     """Steady free-particle flux h(r).
 
     h(r) = -rhoR V0 (r0/r)**2 inside the solid and
@@ -57,8 +59,8 @@ def flux(
 
     Parameters
     ----------
-    r : float
-        Radius, r >= r0.
+    r : float or array of float
+        Radius, r >= r0.  A float gives a float, an array an array.
     V0, V1 : float
         Accretion and ablation speeds.
     r0, r1 : float
@@ -68,21 +70,19 @@ def flux(
     side : str, optional
         One-sided limit selector at r = r1; ignored elsewhere.
     """
-    if r < r0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < r0):
         raise ValueError("r < r0: no flux defined inside the bead")
-    if r == r1:
-        if side == "below":
-            inside = True
-        elif side == "above":
-            inside = False
-        else:
-            raise ValueError('flux jumps at r1; pass side="below" or side="above"')
-    else:
-        inside = r < r1
-    rate = V0 if inside else V0 + V1
-    value = -rhoR * rate * (r0 / r) ** 2
-    # A treadmilling state has V0 + V1 = 0 exactly; avoid returning -0.0.
-    return 0.0 if value == 0.0 else value
+    at_r1 = r == r1
+    if at_r1.any() and side not in ("below", "above"):
+        raise ValueError('flux jumps at r1; pass side="below" or side="above"')
+    inside = (r < r1) | (at_r1 & (side == "below"))
+    q = r0 / r
+    value = np.where(inside, -rhoR * V0, -rhoR * (V0 + V1)) * (q * q)
+    # A treadmilling state has V0 + V1 = 0 exactly, which gives -0.0
+    # outside; adding 0.0 turns -0.0 into 0.0 and changes nothing else.
+    value += 0.0
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -107,32 +107,37 @@ class SteadyProfiles:
         if self.r1 < self.r0:
             raise ValueError("r1 must not be below r0")
 
-    def h(self, r: float, side: str | None = None) -> float:
+    def h(self, r, side: str | None = None):
+        """Flux at r, a float or an array; see :func:`flux`."""
         return flux(r, self.V0, self.V1, self.r0, self.r1, self.transport.rhoR, side)
 
-    def mu(self, r: float) -> float:
+    def mu(self, r):
+        """Chemical potential at r, a float or an array; see :func:`chemical_potential`."""
         return chemical_potential(r, self)
 
 
-def chemical_potential(r: float, profiles: SteadyProfiles) -> float:
+def chemical_potential(r, profiles: SteadyProfiles):
     """Chemical potential mu(r) of the steady profiles.
 
     mu(r) = mu0 + (rhoR r0 V0 / M_inner)(1 - r0/r)      for r0 <= r < r1,
     mu(r) = mu_inf - (rhoR (V0+V1) / M_outer)(r0**2/r)  for r >= r1.
 
     At r = r1 the outer expression is returned; for a consistent state it
-    coincides with the inner limit.
+    coincides with the inner limit.  A float r gives a float, an array an
+    array.
     """
     t = profiles.transport
-    if r < profiles.r0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < profiles.r0):
         raise ValueError("r < r0: no potential defined inside the bead")
-    if r < profiles.r1:
-        return profiles.mu0 + (t.rhoR * profiles.r0 * profiles.V0 / t.M_inner) * (
-            1.0 - profiles.r0 / r
-        )
-    return t.mu_inf - (t.rhoR * (profiles.V0 + profiles.V1) / t.M_outer) * (
+    inner = profiles.mu0 + (t.rhoR * profiles.r0 * profiles.V0 / t.M_inner) * (
+        1.0 - profiles.r0 / r
+    )
+    outer = t.mu_inf - (t.rhoR * (profiles.V0 + profiles.V1) / t.M_outer) * (
         profiles.r0**2 / r
     )
+    value = np.where(r < profiles.r1, inner, outer)
+    return float(value) if value.ndim == 0 else value
 
 
 def interface_residuals(state, params: TransportParams, r0: float) -> tuple[float, float]:

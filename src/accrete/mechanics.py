@@ -50,21 +50,21 @@ class ShellGeometry:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Pointwise state at radius r.
+    """Fields sampled at the radii r, one float64 array per field.
 
     Mechanical fields are always populated; the velocity v needs an
     accretion speed and the transport fields (h, mu) need the chemistry,
     so those default to None until a caller supplies them.
     """
 
-    r: float
-    lam_r: float
-    lam_theta: float
-    sigma_r: float
-    sigma_theta: float
-    v: float | None = None
-    h: float | None = None
-    mu: float | None = None
+    r: np.ndarray
+    lam_r: np.ndarray
+    lam_theta: np.ndarray
+    sigma_r: np.ndarray
+    sigma_theta: np.ndarray
+    v: np.ndarray | None = None
+    h: np.ndarray | None = None
+    mu: np.ndarray | None = None
 
 
 def radius_of_particle(Z: float, Z0: float, r0: float) -> float:
@@ -80,6 +80,16 @@ def radius_of_particle(Z: float, Z0: float, r0: float) -> float:
     return float(np.cbrt(r0**3 + 3.0 * r0**2 * (Z - Z0)))
 
 
+def _lam_r(r, r0):
+    """Radial stretch (r0/r)**2, squared by one multiplication.
+
+    A product rounds the same for floats and arrays; the scalar ``**`` goes
+    through libm pow, which can differ from it in the last bit.
+    """
+    q = r0 / r
+    return q * q
+
+
 def stretches(r: float, r0: float) -> tuple[float, float]:
     """Principal stretches (lam_r, lam_theta) at radius r.
 
@@ -89,7 +99,7 @@ def stretches(r: float, r0: float) -> tuple[float, float]:
         raise ValueError("r0 must be positive")
     if r < r0:
         raise ValueError("r < r0: point is inside the bead")
-    return (r0 / r) ** 2, r / r0
+    return _lam_r(r, r0), r / r0
 
 
 def velocity(r: float, V0: float, r0: float) -> float:
@@ -102,7 +112,27 @@ def velocity(r: float, V0: float, r0: float) -> float:
         raise ValueError("r0 must be positive")
     if r < r0:
         raise ValueError("r < r0: point is inside the bead")
-    return V0 * (r0 / r) ** 2
+    return V0 * _lam_r(r, r0)
+
+
+def _sigma(lam, lam1, energy: ReducedEnergy) -> tuple[np.ndarray, np.ndarray]:
+    """Radial and hoop Cauchy stress at the stretches lam of a shell whose
+    outer surface is at stretch lam1.
+
+    sigma_r = w(lam) - w(lam1) and sigma_theta = sigma_r + (1/2) lam dw(lam).
+    w is evaluated once, on lam with lam1 appended, so wherever lam == lam1
+    sigma_r is w(lam1) - w(lam1) = 0 exactly.
+    """
+    lam = np.append(lam, lam1)
+    w = energy.w(lam)
+    lam = lam[:-1]
+    sig_r = w[:-1] - w[-1]
+    return sig_r, sig_r + 0.5 * lam * energy.dw(lam)
+
+
+def _check_in_shell(r: float, geom: ShellGeometry) -> None:
+    if r < geom.r0 or r > geom.r1:
+        raise ValueError("r outside the shell [r0, r1]")
 
 
 def radial_stress(r: float, geom: ShellGeometry, energy: ReducedEnergy) -> float:
@@ -111,9 +141,8 @@ def radial_stress(r: float, geom: ShellGeometry, energy: ReducedEnergy) -> float
     Nonpositive throughout, zero at the traction-free outer surface and
     -w(nu) at the bead.
     """
-    if r < geom.r0 or r > geom.r1:
-        raise ValueError("r outside the shell [r0, r1]")
-    return float(energy.w(r / geom.r0)) - float(energy.w(geom.r1 / geom.r0))
+    _check_in_shell(r, geom)
+    return float(_sigma(r / geom.r0, geom.nu, energy)[0][0])
 
 
 def hoop_stress(r: float, geom: ShellGeometry, energy: ReducedEnergy) -> float:
@@ -123,8 +152,8 @@ def hoop_stress(r: float, geom: ShellGeometry, energy: ReducedEnergy) -> float:
     at the bead and carries hoop tension (1/2) nu dw(nu) at the outer
     surface when nu > 1.
     """
-    lam = r / geom.r0
-    return radial_stress(r, geom, energy) + 0.5 * lam * float(energy.dw(lam))
+    _check_in_shell(r, geom)
+    return float(_sigma(r / geom.r0, geom.nu, energy)[1][0])
 
 
 def stress_profile(
@@ -132,40 +161,37 @@ def stress_profile(
     energy: ReducedEnergy,
     n: int,
     V0: float | None = None,
-) -> list[FieldSample]:
+) -> FieldSample:
     """Sample the shell uniformly in r with n points.
 
-    Velocity is filled only when V0 is given; transport fields stay None.
+    Every field is a float64 array of length n; r[-1] is r1 exactly, so
+    sigma_r[-1] is 0.  Velocity is filled only when V0 is given; transport
+    fields stay None.
     """
     if n < 2:
         raise ValueError("need at least 2 sample points")
     r = np.linspace(geom.r0, geom.r1, n)
-    w_nu = float(energy.w(geom.r1 / geom.r0))
-    samples = []
-    for ri in r:
-        lam = ri / geom.r0
-        sig_r = float(energy.w(lam)) - w_nu
-        sig_t = sig_r + 0.5 * lam * float(energy.dw(lam))
-        samples.append(
-            FieldSample(
-                r=float(ri),
-                lam_r=(geom.r0 / ri) ** 2,
-                lam_theta=lam,
-                sigma_r=sig_r,
-                sigma_theta=sig_t,
-                v=None if V0 is None else V0 * (geom.r0 / ri) ** 2,
-            )
-        )
-    return samples
+    lam = r / geom.r0
+    lam_r = _lam_r(r, geom.r0)
+    sig_r, sig_t = _sigma(lam, geom.nu, energy)
+    return FieldSample(
+        r=r,
+        lam_r=lam_r,
+        lam_theta=lam,
+        sigma_r=sig_r,
+        sigma_theta=sig_t,
+        v=None if V0 is None else V0 * lam_r,
+    )
 
 
 def equilibrium_residual(geom: ShellGeometry, energy: ReducedEnergy, n: int) -> float:
     """Discrete check of the radial equilibrium equation.
 
     Returns max over interior grid points of
-    |centered-difference(sigma_r)/dr - dw(r/r0)/r0| on a uniform n-point
-    grid.  The closed-form stress satisfies the equation exactly, so the
-    residual is pure truncation error and shrinks as O(dr**2).
+    |centered-difference(sigma_r)/dr - 2 (sigma_theta - sigma_r)/r| on a
+    uniform n-point grid.  The closed-form stress satisfies
+    d sigma_r/dr = 2 (sigma_theta - sigma_r)/r exactly, so the residual is
+    pure truncation error and shrinks as O(dr**2).
     """
     if n < 3:
         raise ValueError("need at least 3 grid points")
@@ -173,10 +199,9 @@ def equilibrium_residual(geom: ShellGeometry, energy: ReducedEnergy, n: int) -> 
         return 0.0
     r = np.linspace(geom.r0, geom.r1, n)
     dr = (geom.r1 - geom.r0) / (n - 1)
-    w_nu = float(energy.w(geom.r1 / geom.r0))
-    sig_r = np.asarray(energy.w(r / geom.r0), dtype=float) - w_nu
+    sig_r, sig_t = _sigma(r / geom.r0, geom.nu, energy)
     dsig = (sig_r[2:] - sig_r[:-2]) / (2.0 * dr)
-    target = np.asarray(energy.dw(r[1:-1] / geom.r0), dtype=float) / geom.r0
+    target = 2.0 * (sig_t[1:-1] - sig_r[1:-1]) / r[1:-1]
     return float(np.max(np.abs(dsig - target)))
 
 

@@ -293,6 +293,49 @@ def test_nonfinite_options_are_input_errors(capsys, argv):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # eta = 1e-320 overflows the diffusion-limited estimate to inf
+        ["sweep", "--eta-min", "1e-320", "--format", "json"],
+        ["sweep", "--eta-min", "1e-320"],
+        # lam up to 1e160 overflows w, and sigma_r = w - w(nu) is nan
+        ["profiles", "--r1", "1e160"],
+    ],
+)
+def test_nonfinite_output_is_numeric_failure(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "accrete.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numeric failure: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_nonfinite_output_writes_no_file(tmp_path, capsys):
+    path = tmp_path / "profiles.json"
+    code, out, err = run(
+        capsys, ["profiles", "--r1", "1e160", "--format", "json", "--out", str(path)]
+    )
+    assert code == 4
+    assert out == ""
+    assert "non-finite sigma_r_over_G" in err
+    assert not path.exists()
+
+
+def test_zero_speed_is_input_error(capsys):
+    # v_over_V0 = v/V0 has no value when V0 = 0
+    code, out, err = run(capsys, ["profiles", "--r1", "2.0", "--v0", "0"])
+    assert code == 2
+    assert out == ""
+    assert "--v0 must be nonzero" in err
+
+
 def test_sweep_estimates_match_library(capsys):
     for mu_inf in ("2.5", "5.53125"):
         code, out, _ = run(capsys, ["sweep", "--points", "9", "--set", f"chem.mu_inf={mu_inf}"])
@@ -429,6 +472,37 @@ def test_validate_json(capsys):
 
 # ---------------------------------------------------------------------------
 # output plumbing
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profiles", "--grid-n", "7"],
+        ["profiles", "--grid-n", "7", "--r1", "2.0"],
+        ["profiles", "--grid-n", "7", "--r1", "2.0", "--v0", "0.5"],
+        ["sweep", "--points", "5"],
+        ["sweep", "--points", "5", "--set", "chem.mu_inf=5.53125"],
+        ["solve"],
+        ["validate"],
+    ],
+)
+def test_json_layout_is_json_dumps(capsys, argv):
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_csv_none_cells_are_empty(capsys):
+    code, out, _ = run(capsys, ["profiles", "--grid-n", "3"])
+    assert code == 0
+    header, *lines, end = out.split("\n")
+    assert end == ""
+    # the outside row at r1 carries transport values only
+    cells = dict(zip(header.split(","), lines[-1].split(",")))
+    assert cells["side"] == "above"
+    for name in ("sigma_r_over_G", "sigma_theta_over_G", "lam_r", "lam_theta", "v_over_V0"):
+        assert cells[name] == ""
+    assert all(line.split(",")[1] == "" for line in lines[:-2])
 
 
 def test_stdout_and_file_output_agree(tmp_path, capsys):

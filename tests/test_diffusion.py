@@ -146,3 +146,51 @@ def test_treadmilling_outer_region_is_quiescent():
         assert h == 0.0
         assert str(h) == "0.0"  # not -0.0: the printed value must carry no sign
         assert chemical_potential(r, p) == 3.25
+
+
+def test_array_fields_match_scalar_calls():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        r0 = rng.uniform(0.2, 3.0)
+        r1 = r0 * rng.uniform(1.0, 4.0)
+        V0 = rng.uniform(0.1, 3.0)
+        V1 = -V0 if rng.uniform() < 0.5 else rng.uniform(-3.0, 0.0)
+        tp = TransportParams(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), 1.5)
+        p = SteadyProfiles(V0=V0, V1=V1, mu0=rng.uniform(-1.0, 1.0), r0=r0, r1=r1, transport=tp)
+        r = np.concatenate([np.linspace(r0, r1, 50), r1 * rng.uniform(1.0, 5.0, 20)])
+        for side in ("below", "above"):
+            h = p.h(r, side=side)
+            assert isinstance(h, np.ndarray) and h.shape == r.shape
+            for ri, hi in zip(r.tolist(), h.tolist()):
+                scalar = p.h(ri, side=side)
+                assert type(scalar) is float
+                assert hi == scalar
+                assert str(hi) == str(scalar)  # same sign of zero
+        mu = p.mu(r)
+        assert isinstance(mu, np.ndarray) and mu.shape == r.shape
+        for ri, mi in zip(r.tolist(), mu.tolist()):
+            assert mi == chemical_potential(ri, p)
+
+
+def test_array_flux_side_rule_and_zero():
+    p = make_reference()
+    r = np.array([1.0, 1.5, 2.0, 4.0])
+    assert p.h(r, side="below").tolist() == [-1.0, -4.0 / 9.0, -0.25, -0.03125]
+    assert p.h(r, side="above").tolist() == [-1.0, -4.0 / 9.0, -0.125, -0.03125]
+    # side is needed only when r1 itself is in the array
+    with pytest.raises(ValueError):
+        p.h(r)
+    with pytest.raises(ValueError):
+        p.h(r, side="sideways")
+    assert p.h(np.array([1.0, 3.0])).tolist() == [-1.0, -0.5 / 9.0]
+    with pytest.raises(ValueError):
+        p.h(np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        p.mu(np.array([0.5, 1.0]))
+    # treadmilling: the outside flux is +0.0, never -0.0
+    tp = TransportParams(M_inner=2.0, M_outer=0.5, rhoR=1.5, mu_inf=3.25)
+    q = SteadyProfiles(V0=2.0, V1=-2.0, mu0=1.0, r0=1.0, r1=1.75, transport=tp)
+    h = q.h(np.array([1.75, 2.0, 40.0]), side="above")
+    assert h.tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(h).any()
+    assert q.mu(np.array([1.75, 2.0, 40.0])).tolist() == [3.25, 3.25, 3.25]

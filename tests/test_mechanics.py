@@ -116,8 +116,7 @@ def test_stress_state_is_hydrostatic_at_bead():
 def test_hoop_stress_changes_sign_once():
     geom = ShellGeometry(1.0, 2.0)
     e = NeoHookean(1.0)
-    prof = stress_profile(geom, e, 101)
-    s = np.array([p.sigma_theta for p in prof])
+    s = stress_profile(geom, e, 101).sigma_theta
     flips = np.count_nonzero(s[:-1] * s[1:] < 0.0)
     assert s[0] < 0.0 < s[-1]
     assert flips == 1
@@ -127,26 +126,48 @@ def test_stress_profile_samples():
     geom = ShellGeometry(1.0, 2.0)
     e = NeoHookean(1.0)
     prof = stress_profile(geom, e, 11, V0=3.0)
-    assert len(prof) == 11
-    assert isinstance(prof[0], FieldSample)
-    assert prof[0].r == 1.0 and prof[-1].r == 2.0
-    assert prof[-1].sigma_r == 0.0
-    assert prof[0].v == 3.0
+    assert isinstance(prof, FieldSample)
+    for field in (prof.r, prof.lam_r, prof.lam_theta, prof.sigma_r, prof.sigma_theta, prof.v):
+        assert isinstance(field, np.ndarray)
+        assert field.dtype == np.float64 and field.shape == (11,)
+    assert prof.r[0] == 1.0 and prof.r[-1] == 2.0
+    assert prof.sigma_r[-1] == 0.0
+    assert prof.v[0] == 3.0
     # velocity decays as (r0/r)**2
-    assert prof[-1].v == pytest.approx(0.75, rel=1e-15)
+    assert prof.v[-1] == pytest.approx(0.75, rel=1e-15)
     no_vel = stress_profile(geom, e, 5)
-    assert all(p.v is None for p in no_vel)
+    assert no_vel.v is None and no_vel.h is None and no_vel.mu is None
 
 
 def test_profile_consistent_with_pointwise_evaluations():
     geom = ShellGeometry(0.7, 1.6)
     e = NeoHookean(2.3)
     prof = stress_profile(geom, e, 17)
-    for p in prof:
-        assert p.sigma_r == pytest.approx(radial_stress(p.r, geom, e), abs=1e-14)
-        assert p.sigma_theta == pytest.approx(hoop_stress(p.r, geom, e), abs=1e-14)
-        lam_r, lam_t = stretches(p.r, geom.r0)
-        assert p.lam_r == lam_r and p.lam_theta == lam_t
+    for i, r in enumerate(prof.r.tolist()):
+        assert prof.sigma_r[i] == pytest.approx(radial_stress(r, geom, e), abs=1e-14)
+        assert prof.sigma_theta[i] == pytest.approx(hoop_stress(r, geom, e), abs=1e-14)
+        lam_r, lam_t = stretches(r, geom.r0)
+        assert prof.lam_r[i] == lam_r and prof.lam_theta[i] == lam_t
+
+
+def test_profile_arrays_match_scalar_fields():
+    # the array path and the scalar functions share their formulas: the
+    # stretches and the velocity agree exactly, the stresses to rounding
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for _ in range(30):
+        r0 = rng.uniform(0.2, 3.0)
+        geom = ShellGeometry(r0, r0 * rng.uniform(1.0, 4.0))
+        e = NeoHookean(rng.uniform(0.2, 5.0))
+        V0 = rng.uniform(-2.0, 2.0)
+        prof = stress_profile(geom, e, int(rng.integers(2, 300)), V0=V0)
+        scale = 16.0 * eps * max(1.0, float(np.max(np.abs(prof.sigma_theta))))
+        assert prof.sigma_r[-1] == 0.0
+        for i, r in enumerate(prof.r.tolist()):
+            assert abs(prof.sigma_r[i] - radial_stress(r, geom, e)) <= scale
+            assert abs(prof.sigma_theta[i] - hoop_stress(r, geom, e)) <= scale
+            assert (prof.lam_r[i], prof.lam_theta[i]) == stretches(r, geom.r0)
+            assert prof.v[i] == velocity(r, V0, geom.r0)
 
 
 def test_equilibrium_residual_second_order():
