@@ -20,7 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
@@ -48,20 +48,6 @@ EXIT_NUMERIC = 4
 
 ENERGY_KINDS = {
     "neo-hookean": NeoHookean,
-}
-
-CONFIG_DEFAULTS = {
-    "energy.kind": "neo-hookean",
-    "energy.G": 1.0,
-    "kinetics.b0": 1.0,
-    "kinetics.b1": 1.0,
-    "chem.muR0": 0.0,
-    "chem.muR1": 3.0,
-    "chem.mu_inf": 2.5,
-    "chem.rhoR": 1.0,
-    "transport.M_inner": 1.0,
-    "transport.M_outer": 1.0,
-    "geom.r0": 1.0,
 }
 
 SWEEP_FIELDS = (
@@ -94,21 +80,32 @@ class ConfigError(Exception):
     """Malformed config file, key, or value."""
 
 
+def _key(key: str, default):
+    """A RunConfig field set by the config key section.key."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration: physical parameters plus command options."""
+    """Resolved run configuration: physical parameters plus command options.
 
-    energy_kind: str = "neo-hookean"
-    G: float = 1.0
-    b0: float = 1.0
-    b1: float = 1.0
-    muR0: float = 0.0
-    muR1: float = 3.0
-    mu_inf: float = 2.5
-    rhoR: float = 1.0
-    M_inner: float = 1.0
-    M_outer: float = 1.0
-    r0: float = 1.0
+    The fields that carry a config key are the only definition of the keys
+    and their defaults, in the order of the JSON params block.  Building a
+    RunConfig builds the energy, the ModelParams, the TransportParams and
+    the Scales, so every command rejects a bad value in the same way.
+    """
+
+    energy_kind: str = _key("energy.kind", "neo-hookean")
+    G: float = _key("energy.G", 1.0)
+    b0: float = _key("kinetics.b0", 1.0)
+    b1: float = _key("kinetics.b1", 1.0)
+    muR0: float = _key("chem.muR0", 0.0)
+    muR1: float = _key("chem.muR1", 3.0)
+    mu_inf: float = _key("chem.mu_inf", 2.5)
+    rhoR: float = _key("chem.rhoR", 1.0)
+    M_inner: float = _key("transport.M_inner", 1.0)
+    M_outer: float = _key("transport.M_outer", 1.0)
+    r0: float = _key("geom.r0", 1.0)
     out: str | None = None
     fmt: str = "csv"
     eta_min: float = 1e-6
@@ -118,20 +115,20 @@ class RunConfig:
     grid_n: int = 101
     r1: float | None = None
     v0: float | None = None
+    params: treadmill.ModelParams = field(init=False, repr=False, compare=False)
+    transport: diffusion.TransportParams = field(init=False, repr=False, compare=False)
+    scales: treadmill.Scales = field(init=False, repr=False, compare=False)
 
-    def energy(self) -> strain_energy.ReducedEnergy:
+    def __post_init__(self):
         try:
-            builder = ENERGY_KINDS[self.energy_kind]
+            make_energy = ENERGY_KINDS[self.energy_kind]
         except KeyError:
             known = ", ".join(sorted(ENERGY_KINDS))
             raise ConfigError(
                 f"unknown energy.kind {self.energy_kind!r}; known kinds: {known}"
             ) from None
-        return builder(self.G)
-
-    def model_params(self) -> treadmill.ModelParams:
-        return treadmill.ModelParams(
-            energy=self.energy(),
+        params = treadmill.ModelParams(
+            energy=make_energy(self.G),
             b0=self.b0,
             b1=self.b1,
             muR0=self.muR0,
@@ -141,14 +138,19 @@ class RunConfig:
             M=self.M_inner,
             r0=self.r0,
         )
-
-    def transport_params(self) -> diffusion.TransportParams:
-        return diffusion.TransportParams(
+        transport = diffusion.TransportParams(
             M_inner=self.M_inner,
             M_outer=self.M_outer,
             rhoR=self.rhoR,
             mu_inf=self.mu_inf,
         )
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "transport", transport)
+        object.__setattr__(self, "scales", treadmill.compute_scales(params))
+
+
+# Config key -> its RunConfig field, in the order of the JSON params block.
+_KEYS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig) if "key" in f.metadata}
 
 
 @dataclass(frozen=True)
@@ -177,14 +179,14 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
 def _coerce(key: str, raw: str):
-    if key == "energy.kind":
+    if isinstance(_KEYS[key].default, str):
         return raw
     try:
         value = float(raw)
@@ -196,36 +198,22 @@ def _coerce(key: str, raw: str):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    resolved = dict(CONFIG_DEFAULTS)
+    """RunConfig from the defaults, then the config file, then --set, and
+    the options of the command."""
+    kwargs = {}
     if args.config is not None:
         for key, raw in _parse_config_file(args.config).items():
-            resolved[key] = _coerce(key, raw)
+            kwargs[_KEYS[key].name] = _coerce(key, raw)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in CONFIG_DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"--set: unknown key {key!r}")
-        resolved[key] = _coerce(key, raw)
-
-    kwargs = dict(
-        energy_kind=resolved["energy.kind"],
-        G=resolved["energy.G"],
-        b0=resolved["kinetics.b0"],
-        b1=resolved["kinetics.b1"],
-        muR0=resolved["chem.muR0"],
-        muR1=resolved["chem.muR1"],
-        mu_inf=resolved["chem.mu_inf"],
-        rhoR=resolved["chem.rhoR"],
-        M_inner=resolved["transport.M_inner"],
-        M_outer=resolved["transport.M_outer"],
-        r0=resolved["geom.r0"],
-        out=args.out,
-        fmt=args.format,
-    )
-    for name in ("eta_min", "eta_max", "points", "linear", "grid_n", "r1", "v0"):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
+        kwargs[_KEYS[key].name] = _coerce(key, raw)
+    for f in dataclasses.fields(RunConfig):
+        if f.init and "key" not in f.metadata and hasattr(args, f.name):
+            kwargs[f.name] = getattr(args, f.name)
     return RunConfig(**kwargs)
 
 
@@ -286,7 +274,7 @@ def _json_text(doc: dict) -> str:
     return text[:-4] + "[\n" + body + "\n  ]\n}\n"
 
 
-def _write(cfg: RunConfig, doc: dict | None, table: _Table) -> None:
+def _write(cfg: RunConfig, doc: dict, table: _Table) -> None:
     """Write table as CSV, or doc as JSON, exactly as json.dumps(doc,
     indent=2) lays it out; doc is only read for JSON.
 
@@ -303,37 +291,21 @@ def _write(cfg: RunConfig, doc: dict | None, table: _Table) -> None:
 
 
 def _params_doc(cfg: RunConfig) -> dict:
-    return {
-        "energy": {"kind": cfg.energy_kind, "G": cfg.G},
-        "kinetics": {"b0": cfg.b0, "b1": cfg.b1},
-        "chem": {
-            "muR0": cfg.muR0,
-            "muR1": cfg.muR1,
-            "mu_inf": cfg.mu_inf,
-            "rhoR": cfg.rhoR,
-        },
-        "transport": {"M_inner": cfg.M_inner, "M_outer": cfg.M_outer},
-        "geom": {"r0": cfg.r0},
-    }
-
-
-def _scales_doc(s: treadmill.Scales) -> dict:
-    return dataclasses.asdict(s)
-
-
-def _state_doc(state: treadmill.TreadmillState) -> dict:
-    return dataclasses.asdict(state)
+    """The config keys and their values, nested by section."""
+    doc: dict = {}
+    for key, f in _KEYS.items():
+        section, name = key.split(".")
+        doc.setdefault(section, {})[name] = getattr(cfg, f.name)
+    return doc
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     """Solve one treadmilling state and emit it with the derived scales."""
-    params = cfg.model_params()
-    state = treadmill.solve(params)
-    scales = treadmill.compute_scales(params)
+    state = treadmill.solve(cfg.params)
     doc = {
         "params": _params_doc(cfg),
-        "scales": _scales_doc(scales),
-        "state": _state_doc(state),
+        "scales": dataclasses.asdict(cfg.scales),
+        "state": dataclasses.asdict(state),
     }
     names = [*doc["scales"], *doc["state"]]
     values = np.array([*doc["scales"].values(), *doc["state"].values()])
@@ -341,19 +313,15 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(cfg: RunConfig) -> tuple[treadmill.Scales, list]:
-    """Scales of the base configuration and the sweep columns, in SWEEP_FIELDS order."""
+def _sweep_rows(cfg: RunConfig) -> list:
+    """The sweep columns, in SWEEP_FIELDS order."""
     if not (np.isfinite(cfg.eta_min) and np.isfinite(cfg.eta_max)):
         raise ConfigError("eta range must be finite")
     if not (cfg.eta_min > 0.0 and cfg.eta_max > cfg.eta_min):
         raise ConfigError("eta range must satisfy 0 < eta-min < eta-max")
     if cfg.points < 2:
         raise ConfigError("need at least 2 sweep points")
-    base = cfg.model_params()
-    dec = treadmill.solvable(base)
-    if not dec.ok:
-        raise NoTreadmillingState(dec.reason)
-    scales = treadmill.compute_scales(base)
+    base, scales = cfg.params, cfg.scales
     nu_star, _, _ = treadmill.small_bead_asymptote(base)
     if cfg.linear:
         etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.points)
@@ -370,7 +338,7 @@ def _sweep_rows(cfg: RunConfig) -> tuple[treadmill.Scales, list]:
     d_diffusion_limited = (
         (scales.Vstar / scales.Vstarstar - 1.0) / etas if scales.Vstarstar > 0.0 else []
     )
-    columns = [
+    return [
         etas,
         nu,
         nu - 1.0,
@@ -382,7 +350,6 @@ def _sweep_rows(cfg: RunConfig) -> tuple[treadmill.Scales, list]:
         np.full(len(etas), nu_star - 1.0),
         d_diffusion_limited,
     ]
-    return scales, columns
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -391,9 +358,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     All rows are computed before anything is written, so an unsolvable
     configuration fails before producing output.
     """
-    scales, columns = _sweep_rows(cfg)
-    table = _Table(SWEEP_FIELDS, columns)
-    _write(cfg, {"params": _params_doc(cfg), "scales": _scales_doc(scales), "rows": table}, table)
+    table = _Table(SWEEP_FIELDS, _sweep_rows(cfg))
+    doc = {"params": _params_doc(cfg), "scales": dataclasses.asdict(cfg.scales), "rows": table}
+    _write(cfg, doc, table)
     return EXIT_OK
 
 
@@ -407,7 +374,7 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
             raise ConfigError(f"--{name} must be finite")
     if cfg.v0 == 0.0:
         raise ConfigError("--v0 must be nonzero; v_over_V0 divides by it")
-    energy = cfg.energy()
+    energy = cfg.params.energy
     gscale = strain_energy.modulus_scale(energy)
 
     if cfg.r1 is not None:
@@ -422,16 +389,14 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
         ]
         return None, columns
 
-    params = cfg.model_params()
-    state = treadmill.solve(params)
-    transport = cfg.transport_params()
+    state = treadmill.solve(cfg.params)
     profiles = diffusion.SteadyProfiles(
         V0=state.V0,
         V1=state.V1,
         mu0=state.mu0,
         r0=cfg.r0,
         r1=state.r1,
-        transport=transport,
+        transport=cfg.transport,
     )
     geom = mechanics.ShellGeometry(cfg.r0, state.r1)
     f = mechanics.stress_profile(geom, energy, cfg.grid_n, V0=state.V0)
@@ -452,22 +417,19 @@ def cmd_profiles(cfg: RunConfig) -> int:
     """Emit radial profiles, solved from config or for an explicit geometry."""
     state, columns = _profile_rows(cfg)
     table = _Table(PROFILE_FIELDS, columns)
-    doc = None
-    if cfg.fmt == "json":
-        params = cfg.model_params()
-        doc = {
-            "params": _params_doc(cfg),
-            "scales": _scales_doc(treadmill.compute_scales(params)),
-            "state": None if state is None else _state_doc(state),
-            "rows": table,
-        }
+    doc = {
+        "params": _params_doc(cfg),
+        "scales": dataclasses.asdict(cfg.scales),
+        "state": None if state is None else dataclasses.asdict(state),
+        "rows": table,
+    }
     _write(cfg, doc, table)
     return EXIT_OK
 
 
-def _adaptive_lam_max(params: treadmill.ModelParams) -> float:
+def _adaptive_lam_max(cfg: RunConfig) -> float:
     """Smallest doubling of (lam - 1) from 1 whose g - h is negative."""
-    s = treadmill.compute_scales(params)
+    s, params = cfg.scales, cfg.params
     lam = 2.0
     while (
         treadmill.g(s.eta, lam, s.Vstar)
@@ -482,12 +444,10 @@ def _adaptive_lam_max(params: treadmill.ModelParams) -> float:
 
 def cmd_validate(cfg: RunConfig) -> int:
     """Run the energy checks and the uniqueness oracle; nonzero on failure."""
-    energy = cfg.energy()
-    report = strain_energy.validate(energy, 0.1, 10.0, 100)
+    report = strain_energy.validate(cfg.params.energy, 0.1, 10.0, 100)
     checks = list(report.checks)
 
-    params = cfg.model_params()
-    dec = treadmill.solvable(params)
+    dec = treadmill.solvable(cfg.params)
     checks.append(
         strain_energy.CheckResult(
             "treadmilling-solvable",
@@ -496,7 +456,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         )
     )
     if dec.ok:
-        brackets = treadmill.grid_scan_oracle(params, _adaptive_lam_max(params), 10000)
+        brackets = treadmill.grid_scan_oracle(cfg.params, _adaptive_lam_max(cfg), 10000)
         checks.append(
             strain_energy.CheckResult(
                 "uniqueness-oracle",
@@ -535,8 +495,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format",
             choices=("csv", "json"),
-            default="csv",
-            help="output format (default: csv)",
+            default=RunConfig.fmt,
+            dest="fmt",
+            help="output format (default: %(default)s)",
         )
         p.add_argument(
             "--set",
@@ -550,10 +511,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep eta and tabulate the states")
     add_common(p_sweep)
-    p_sweep.add_argument("--eta-min", type=float, default=1e-6, dest="eta_min")
-    p_sweep.add_argument("--eta-max", type=float, default=1e6, dest="eta_max")
+    p_sweep.add_argument("--eta-min", type=float, default=RunConfig.eta_min, dest="eta_min")
+    p_sweep.add_argument("--eta-max", type=float, default=RunConfig.eta_max, dest="eta_max")
     p_sweep.add_argument(
-        "--points", type=int, default=121, help="number of eta points (default: 121)"
+        "--points",
+        type=int,
+        default=RunConfig.points,
+        help="number of eta points (default: %(default)s)",
     )
     p_sweep.add_argument(
         "--linear",
@@ -566,9 +530,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--grid-n",
         type=int,
-        default=101,
+        default=RunConfig.grid_n,
         dest="grid_n",
-        help="number of radial samples (default: 101)",
+        help="number of radial samples (default: %(default)s)",
     )
     p_prof.add_argument(
         "--r1",

@@ -196,6 +196,15 @@ def _decide(s: Scales) -> Solvability:
     return Solvability(True)
 
 
+def _solvable_scales(params: ModelParams) -> Scales:
+    """compute_scales(params); raises NoTreadmillingState when no state exists."""
+    s = compute_scales(params)
+    dec = _decide(s)
+    if not dec.ok:
+        raise NoTreadmillingState(dec.reason)
+    return s
+
+
 def _check_lam(lam) -> None:
     if type(lam) is float or type(lam) is np.float64:
         if lam < 1.0:
@@ -338,10 +347,7 @@ def solve(params: ModelParams) -> TreadmillState:
     (u = nu - 1, V/Vstar, w/(b1 Vstar)) so conditioning is uniform across
     many decades of eta; outputs are dimensional.
     """
-    s = compute_scales(params)
-    dec = _decide(s)
-    if not dec.ok:
-        raise NoTreadmillingState(dec.reason)
+    s = _solvable_scales(params)
     # The drive 1 - Vstarstar/Vstar = (mu_inf - muStar) rhoR/(b1 Vstar),
     # taken from the inputs.  Near mu_inf = muStar both of those forms
     # cancel after rounding Vstarstar/Vstar or muStar, and showed up to four
@@ -375,21 +381,20 @@ def grid_scan_oracle(
 ) -> list[tuple[float, float]]:
     """Independent uniqueness check: scan g - h for sign changes.
 
-    Evaluates F = g - h on n points log-spaced in (lam - 1) up to
-    lam_max and returns every interval whose endpoints straddle zero.
-    Valid parameters must yield exactly one bracket, and it must contain
-    the solver's nu; anything else signals an inconsistency.
+    Evaluates F = g - h at lam = 1 and on n points log-spaced in
+    (lam - 1) up to lam_max, and returns every interval whose endpoints
+    straddle zero.  F(1) = Vstar - Vstarstar > 0, so a root below the
+    first log-spaced point still gives a bracket.  Valid parameters must
+    yield exactly one bracket, and it must contain the solver's nu;
+    anything else signals an inconsistency.
     """
-    dec = solvable(params)
-    if not dec.ok:
-        raise NoTreadmillingState(dec.reason)
+    s = _solvable_scales(params)
     if not lam_max > 1.0:
         raise ValueError("lam_max must exceed 1")
     if n < 100:
         raise ValueError("need at least 100 scan points")
-    s = compute_scales(params)
     u = np.geomspace((lam_max - 1.0) * 1e-13, lam_max - 1.0, n)
-    lam = 1.0 + u
+    lam = 1.0 + np.append(0.0, u)
     F = np.asarray(
         g(s.eta, lam, s.Vstar) - h(lam, s.Vstarstar, params.b1, params.energy),
         dtype=float,
@@ -411,10 +416,7 @@ def small_bead_asymptote(params: ModelParams) -> tuple[float, float, float]:
     w(nu)/b1 = Vstar - Vstarstar, the accretion speed tends to Vstar and
     the inner potential to mu_inf.
     """
-    dec = solvable(params)
-    if not dec.ok:
-        raise NoTreadmillingState(dec.reason)
-    s = compute_scales(params)
+    s = _solvable_scales(params)
     nu_star = _root_of_w(params.energy, params.b1, s.Vstar - s.Vstarstar)
     return nu_star, s.Vstar, params.mu_inf
 
@@ -450,12 +452,9 @@ def large_bead_asymptote(
     estimate is unavailable (None): the first branch divides by zero and
     no intermediate scaling is provided here.
     """
-    dec = solvable(params)
-    if not dec.ok:
-        raise NoTreadmillingState(dec.reason)
+    s = _solvable_scales(params)
     if not eta > 0.0:
         raise ValueError("eta must be positive")
-    s = compute_scales(params)
     bsum = params.b0 + params.b1
     if s.Vstarstar > 0.0:
         d_est = (s.Vstar / s.Vstarstar - 1.0) / eta

@@ -4,10 +4,12 @@ Most tests drive main() directly and read stdout through capsys; one
 subprocess smoke test covers the installed module entry point.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +162,40 @@ def test_nonpositive_parameter_is_input_error(capsys):
     assert "must be positive" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("item", ["transport.M_outer=-1", "kinetics.b0=-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["sweep", "--points", "3"],
+        ["profiles", "--r1", "2", "--grid-n", "3"],
+        ["validate"],
+    ],
+)
+def test_every_command_checks_every_parameter(capsys, argv, item, fmt):
+    # the value is checked when the config is resolved, whether or not the
+    # command or the format reads it
+    code, out, err = run(capsys, argv + ["--format", fmt, "--set", item])
+    assert code == 2
+    assert out == ""
+    assert "must be positive" in err
+
+
+def test_readme_config_table_is_the_run_config_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration\n", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    table = [tuple(cell.strip().strip("`") for cell in row) for row in rows]
+    keys = [
+        (f.metadata["key"], str(f.default))
+        for f in dataclasses.fields(cli.RunConfig)
+        if "key" in f.metadata
+    ]
+    assert len(keys) == 11
+    assert table == keys
+
+
 @pytest.mark.parametrize("rhoR", ["1e-200", "1e200"])
 def test_scales_out_of_float_range_is_input_error(capsys, rhoR):
     # rhoR**2 underflows to zero or overflows, and ellStar with it
@@ -303,9 +339,10 @@ def test_nonfinite_options_are_input_errors(capsys, argv):
         ["profiles", "--r1", "1e160"],
     ],
 )
-def test_nonfinite_output_is_numeric_failure(argv):
+def test_nonfinite_output_is_numeric_failure(argv, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "accrete.cli", *argv],
+        env=child_env,
         capture_output=True,
         text=True,
         timeout=120,
@@ -462,6 +499,19 @@ def test_validate_unsolvable_fails(capsys):
     assert "uniqueness-oracle" not in by_name
 
 
+def test_validate_thin_shell_passes(capsys):
+    # d/r0 is about 1.3e-18, below the first log-spaced point of the scan
+    code, out, _ = run(
+        capsys,
+        ["validate", "--set", "chem.mu_inf=1.500000000001", "--set", "geom.r0=1e6"],
+    )
+    assert code == 0
+    _, rows = read_csv(out)
+    by_name = {r["check"]: r for r in rows}
+    assert by_name["uniqueness-oracle"]["passed"] == "pass"
+    assert by_name["uniqueness-oracle"]["detail"].startswith("1 sign-change")
+
+
 def test_validate_json(capsys):
     code, out, _ = run(capsys, ["validate", "--format", "json"])
     assert code == 0
@@ -522,9 +572,10 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert j1 == j2
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "accrete.cli", "solve"],
+        env=child_env,
         capture_output=True,
         text=True,
         timeout=120,

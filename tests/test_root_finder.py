@@ -205,10 +205,11 @@ def test_curve_guard(curve, lam, nonpositive, below_one):
 # start-up
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(child_env):
     code = "import sys, accrete.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
+        env=child_env,
         capture_output=True,
         text=True,
         timeout=120,

@@ -305,6 +305,18 @@ def test_oracle_empty_when_scan_stops_short_of_root():
     assert grid_scan_oracle(make_params(), 1.2, 200) == []
 
 
+def test_oracle_brackets_root_below_first_log_point():
+    # d/r0 is about 1.3e-18, far below the scan's first log-spaced point at
+    # (lam_max - 1) * 1e-13, where F is already negative; F(1) > 0 still
+    # brackets the root
+    p = make_params(mu_inf=1.500000000001, r0=1e6)
+    nu = solve(p).nu
+    brackets = grid_scan_oracle(p, 2.0, 10000)
+    assert len(brackets) == 1
+    lo, hi = brackets[0]
+    assert lo <= nu <= hi
+
+
 # ---------------------------------------------------------------------------
 # asymptotic estimators
 
