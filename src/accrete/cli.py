@@ -321,17 +321,14 @@ def _sweep_rows(cfg: RunConfig) -> list:
         raise ConfigError("eta range must satisfy 0 < eta-min < eta-max")
     if cfg.points < 2:
         raise ConfigError("need at least 2 sweep points")
-    base, scales = cfg.params, cfg.scales
-    nu_star, _, _ = treadmill.small_bead_asymptote(base)
+    scales = cfg.scales
+    nu_star, _, _ = treadmill.small_bead_asymptote(cfg.params)
     if cfg.linear:
         etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.points)
     else:
         etas = np.geomspace(cfg.eta_min, cfg.eta_max, cfg.points)
-    solved = np.empty((len(etas), 5))
-    for i, eta in enumerate(etas.tolist()):
-        st = treadmill.solve(dataclasses.replace(base, r0=eta * scales.ellStar))
-        solved[i] = st.nu, st.V0, st.mu0, st.f0, st.f1
-    nu, V0, mu0, f0, f1 = solved.T
+    # One array pass; each row is bit for bit solve at r0 = eta * ellStar.
+    st = treadmill.solve_eta(cfg.params, etas)
     # Vstar and Vstarstar do not depend on r0, so the diffusion-limited
     # estimate (Vstar/Vstarstar - 1)/eta of large_bead_asymptote needs only
     # the base scales; it does not apply when Vstarstar <= 0.
@@ -340,13 +337,13 @@ def _sweep_rows(cfg: RunConfig) -> list:
     )
     return [
         etas,
-        nu,
-        nu - 1.0,
-        V0,
-        V0 / scales.Vstar,
-        mu0,
-        f0,
-        f1,
+        st.nu,
+        st.nu - 1.0,
+        st.V0,
+        st.V0 / scales.Vstar,
+        st.mu0,
+        st.f0,
+        st.f1,
         np.full(len(etas), nu_star - 1.0),
         d_diffusion_limited,
     ]

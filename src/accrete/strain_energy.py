@@ -73,8 +73,12 @@ class NeoHookean(ReducedEnergy):
     w is evaluated as (G/2) y**2 (2 lam**2 + 1) with
     y = (lam - 1)(lam + 1)/lam**2.  That equals the form above and keeps
     full relative precision near lam = 1, where the sum cancels; the root
-    finder's Newton iteration needs F at rounding level there.  Where the
-    sum overflows, this form overflows too, in the same way.
+    finder's Newton iteration needs F at rounding level there.  w and dw
+    use + - * / only, no powers, so a float and a float64 array give the
+    same bits; the batch solve relies on that.  Where the sum overflows,
+    w of a float gives inf like an array does, not OverflowError.  Below
+    about lam = 2e-65, where lam**5 underflows to 0, dw of a float raises
+    ZeroDivisionError and dw of an array gives -inf.
 
     Parameters
     ----------
@@ -93,11 +97,12 @@ class NeoHookean(ReducedEnergy):
     def w(self, lam):
         _check_positive_stretch(lam)
         y = (lam - 1.0) / lam * ((lam + 1.0) / lam)
-        return 0.5 * self.G * (y**2 * (2.0 * lam**2 + 1.0))
+        return 0.5 * self.G * (y * y * (2.0 * (lam * lam) + 1.0))
 
     def dw(self, lam):
         _check_positive_stretch(lam)
-        return 2.0 * self.G * (lam - lam**-5)
+        l2 = lam * lam
+        return 2.0 * self.G * (lam - 1.0 / (l2 * l2 * lam))
 
     def d2w(self, lam):
         _check_positive_stretch(lam)

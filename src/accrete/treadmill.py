@@ -21,6 +21,12 @@ that models w as quadratic in u, and then runs a Newton iteration on the
 analytic dw, safeguarded by bisection; a solve typically costs three
 evaluations of w.  Everything downstream of nu is closed-form
 back-substitution.
+
+solve_eta solves a whole table of bead radii, as `accrete sweep` needs, in
+one array pass: each element goes through the same IEEE operations in the
+same order as solve at that bead radius, so every row matches solve bit for
+bit.  solve keeps its scalar root finder, which is about forty times faster
+for a single state.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "g",
     "h",
     "solve",
+    "solve_eta",
     "grid_scan_oracle",
     "small_bead_asymptote",
     "small_bead_quadratic",
@@ -132,7 +139,8 @@ class TreadmillState:
     """The full steady solution.
 
     V1 = -V0 and mu1 = mu_inf hold in every treadmilling state; f0 and f1
-    are the driving forces b0 V0 and b1 V1.
+    are the driving forces b0 V0 and b1 V1.  solve gives floats; solve_eta
+    gives one state whose fields are float64 arrays, one element per eta.
     """
 
     nu: float
@@ -247,9 +255,22 @@ def _estimate(drive: float, eta: float, k: float) -> float:
     u = drive / c1 if c1 > 0.0 else math.inf
     if not k > 0.0:
         return u
-    u = min(u, math.sqrt(drive / k))
+    return _polish(drive, a, c1, k, min(u, math.sqrt(drive / k)))
+
+
+def _estimates(drive: float, eta: np.ndarray, k) -> np.ndarray:
+    """_estimate for every element of eta and k, with the same operations."""
+    a = 1.0 + eta
+    c1 = eta - a * drive
+    u = np.where(c1 > 0.0, drive / c1, np.inf)
+    s = np.sqrt(drive / k)
+    return np.where(k > 0.0, _polish(drive, a, c1, k, np.where(s < u, s, u)), u)
+
+
+def _polish(drive, a, c1, k, u):
+    """Four Newton steps on k a u**3 + k u**2 + c1 u - drive from u."""
     for _ in range(4):
-        u -= (((k * a * u + k) * u + c1) * u - drive) / ((3.0 * k * a * u + 2.0 * k) * u + c1)
+        u = u - (((k * a * u + k) * u + c1) * u - drive) / ((3.0 * k * a * u + 2.0 * k) * u + c1)
     return u
 
 
@@ -336,6 +357,122 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
     return 1.0 + hi, w_hi
 
 
+def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta: np.ndarray):
+    """_find_root for every element of the 1-D array eta, in one array pass.
+
+    Each element goes through the same IEEE operations in the same order as
+    _find_root(energy, wscale, drive, eta[i]): the start at min(1, u_eta),
+    the model probes and the doubling, the rtsafe steps with their stops,
+    and the endpoint with the smaller |F|.  So each returns the same bits.
+    Python's min(a, b) is b if b < a else a, and the array forms below keep
+    that rule for NaN.  Every row is bracketed before any row iterates, so
+    a row counts its steps as _find_root does.  A step works only on the
+    rows still in progress; a row leaves where _find_root would return.
+    Returns the arrays (lam, w(lam)).
+    """
+    w, dw = energy.w, energy.dw
+    lam_out = np.empty(eta.size)
+    w_out = np.empty(eta.size)
+
+    # Bracketing: rows idx probe u while F(u) > 0.
+    lo, f_lo, w_lo = np.zeros(eta.size), np.full(eta.size, drive), np.zeros(eta.size)
+    hi, f_hi, w_hi = np.empty(eta.size), np.empty(eta.size), np.empty(eta.size)
+    idx = np.arange(eta.size)
+    e = eta
+    u = _estimates(drive, e, np.zeros(eta.size))
+    u = np.where(u < 1.0, u, 1.0)
+    while idx.size:
+        lam = 1.0 + u
+        lam = np.where(_ONE_UP > lam, _ONE_UP, lam)
+        if not np.all(lam <= _LAM_CAP):
+            raise NumericFailure(
+                f"no sign change below lam = {_LAM_CAP:g}; energy growth assumption violated?"
+            )
+        u = lam - 1.0
+        wu = w(lam)
+        fu = drive - e * u / (1.0 + (1.0 + e) * u) - wu / wscale
+        done = fu <= 0.0
+        i = idx[done]
+        hi[i], f_hi[i], w_hi[i] = u[done], fu[done], wu[done]
+        more = ~done
+        idx, e, u, wu, fu = idx[more], e[more], u[more], wu[more], fu[more]
+        lo[idx], f_lo[idx], w_lo[idx] = u, fu, wu
+        u = 2.0 * _estimates(drive, e, wu / (wscale * u * u))
+
+    x = (1.0 + _estimates(drive, eta, w_hi / (wscale * hi * hi))) - 1.0
+    x = np.where((lo < x) & (x < hi), x, np.where(x <= lo, lo, hi))
+    step = step_old = hi - lo
+
+    def finish(rows, lam, w_lam):
+        lam_out[rows] = lam
+        w_out[rows] = w_lam
+
+    live = f_hi != 0.0
+    finish(~live, 1.0 + hi[~live], w_hi[~live])
+    idx = np.flatnonzero(live)
+    state = (eta, x, lo, f_lo, w_lo, hi, f_hi, w_hi, step, step_old)
+    e, x, lo, f_lo, w_lo, hi, f_hi, w_hi, step, step_old = (v[idx] for v in state)
+    for _ in range(_MAX_STEPS):
+        if not idx.size:
+            break
+        lam = 1.0 + x
+        wx = w(lam)
+        q = 1.0 + (1.0 + e) * x
+        fx = drive - e * x / q - wx / wscale
+        pos, neg = fx > 0.0, fx < 0.0
+        lo, f_lo, w_lo = np.where(pos, x, lo), np.where(pos, fx, f_lo), np.where(pos, wx, w_lo)
+        hi, f_hi, w_hi = np.where(neg, x, hi), np.where(neg, fx, f_hi), np.where(neg, wx, w_hi)
+        dfx = -e / (q * q) - dw(lam) / wscale
+        newton = np.where(dfx < 0.0, fx / dfx, np.inf)
+        x_new = (lam - newton) - 1.0
+        ok = (lo < x_new) & (x_new < hi) & (np.abs(newton + newton) <= np.abs(step_old))
+        mid = (1.0 + 0.5 * (lo + hi)) - 1.0
+        give_up = (np.abs(newton) <= _NOISE * lam) | ~((lo < mid) & (mid < hi))
+        exact = ~(pos | neg)
+        stop = (x_new == x) | (~ok & give_up)
+        x_new = np.where(ok, x_new, mid)
+        step_old, step = step, x - x_new
+        done = exact | stop
+        if done.any():
+            use_lo = np.abs(f_lo) < np.abs(f_hi)
+            end = np.where(exact, lam, 1.0 + np.where(use_lo, lo, hi))
+            w_end = np.where(exact, wx, np.where(use_lo, w_lo, w_hi))
+            finish(idx[done], end[done], w_end[done])
+            more = ~done
+            state = (idx, e, x_new, lo, f_lo, w_lo, hi, f_hi, w_hi, step, step_old)
+            idx, e, x_new, lo, f_lo, w_lo, hi, f_hi, w_hi, step, step_old = (
+                v[more] for v in state
+            )
+        x = x_new
+    if idx.size:
+        raise NumericFailure("root iteration failed to converge")
+    return lam_out, w_out
+
+
+def _drive(params: ModelParams, s: Scales) -> float:
+    """The drive 1 - Vstarstar/Vstar = (mu_inf - muStar) rhoR/(b1 Vstar).
+
+    It is taken from the inputs.  Near mu_inf = muStar both of those forms
+    cancel after rounding Vstarstar/Vstar or muStar, and showed up to four
+    times the error of this one.
+    """
+    drive = (
+        params.b0 * (params.mu_inf - params.muR1) + params.b1 * (params.mu_inf - params.muR0)
+    ) / (params.b1 * (params.muR1 - params.muR0))
+    if not drive > 0.0:
+        # mu_inf within rounding of muStar, which the existence test does
+        # not see; the quotient is positive whenever Vstar > Vstarstar.
+        drive = 1.0 - s.Vstarstar / s.Vstar
+    return drive
+
+
+def _back_substitute(params: ModelParams, s: Scales, w_nu):
+    """(V0, mu0, f0, f1) from w(nu), a float or a float64 array."""
+    V0 = s.Vstarstar + w_nu / params.b1
+    mu0 = params.mu_inf - (params.b0 + params.b1) * (s.Vstar - V0) / params.rhoR
+    return V0, mu0, params.b0 * V0, params.b1 * (-V0)
+
+
 def solve(params: ModelParams) -> TreadmillState:
     """Solve the treadmilling system.
 
@@ -348,21 +485,8 @@ def solve(params: ModelParams) -> TreadmillState:
     many decades of eta; outputs are dimensional.
     """
     s = _solvable_scales(params)
-    # The drive 1 - Vstarstar/Vstar = (mu_inf - muStar) rhoR/(b1 Vstar),
-    # taken from the inputs.  Near mu_inf = muStar both of those forms
-    # cancel after rounding Vstarstar/Vstar or muStar, and showed up to four
-    # times the error of this one.
-    drive = (
-        params.b0 * (params.mu_inf - params.muR1) + params.b1 * (params.mu_inf - params.muR0)
-    ) / (params.b1 * (params.muR1 - params.muR0))
-    if not drive > 0.0:
-        # mu_inf within rounding of muStar, which the existence test does
-        # not see; the quotient is positive whenever Vstar > Vstarstar.
-        drive = 1.0 - s.Vstarstar / s.Vstar
-    nu, w_nu = _find_root(params.energy, params.b1 * s.Vstar, drive, s.eta)
-
-    V0 = s.Vstarstar + float(w_nu) / params.b1
-    mu0 = params.mu_inf - (params.b0 + params.b1) * (s.Vstar - V0) / params.rhoR
+    nu, w_nu = _find_root(params.energy, params.b1 * s.Vstar, _drive(params, s), s.eta)
+    V0, mu0, f0, f1 = _back_substitute(params, s, float(w_nu))
     return TreadmillState(
         nu=nu,
         r1=nu * params.r0,
@@ -371,9 +495,51 @@ def solve(params: ModelParams) -> TreadmillState:
         V1=-V0,
         mu0=mu0,
         mu1=params.mu_inf,
-        f0=params.b0 * V0,
-        f1=params.b1 * (-V0),
+        f0=f0,
+        f1=f1,
     )
+
+
+def solve_eta(params: ModelParams, eta) -> TreadmillState:
+    """Solve the treadmilling system at every bead radius r0 = eta * ellStar.
+
+    eta is a 1-D array of nondimensional bead radii; params.r0 is not used.
+    Returns one TreadmillState whose fields are float64 arrays, element i
+    bit for bit the state solve(dataclasses.replace(params, r0=r0[i])) with
+    r0 = eta * ellStar.  That solve works at (eta * ellStar)/ellStar, which
+    can differ from eta in the last bit, and so does this one.
+
+    Raises NoTreadmillingState as solve does; ValueError when some r0 is not
+    positive or its eta is not finite, as building those params or their
+    scales would; and NumericFailure when solve would for some element.
+    """
+    s = _solvable_scales(params)
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim != 1:
+        raise ValueError("eta must be a 1-D array")
+    # r0 and eta may leave the float range, which is checked below.  Both
+    # arms of every np.where are computed, so a row may also overflow or
+    # divide by zero in an arm that its scalar solve never takes.
+    with np.errstate(all="ignore"):
+        r0 = eta * s.ellStar
+        if not np.all(r0 > 0.0):
+            raise ValueError("r0 must be positive")
+        eta = r0 / s.ellStar
+        if not np.all(np.isfinite(eta)):
+            raise ValueError("scale eta is not finite")
+        nu, w_nu = _find_roots(params.energy, params.b1 * s.Vstar, _drive(params, s), eta)
+        V0, mu0, f0, f1 = _back_substitute(params, s, w_nu)
+        return TreadmillState(
+            nu=nu,
+            r1=nu * r0,
+            d=(nu - 1.0) * r0,
+            V0=V0,
+            V1=-V0,
+            mu0=mu0,
+            mu1=np.full_like(nu, params.mu_inf),
+            f0=f0,
+            f1=f1,
+        )
 
 
 def grid_scan_oracle(

@@ -242,6 +242,9 @@ def test_sweep_csv_matches_library(capsys):
         assert float(row["nu"]) == st.nu
         assert float(row["V0"]) == st.V0
         assert float(row["d_over_r0"]) == st.nu - 1.0
+        assert float(row["mu0"]) == st.mu0
+        assert float(row["f0"]) == st.f0
+        assert float(row["f1"]) == st.f1
 
     d = [float(r["d_over_r0"]) for r in rows]
     assert np.all(np.diff(d) < 0.0)
@@ -308,6 +311,22 @@ def test_sweep_range_validation(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # ellStar = 2e-6, so r0 = 1e-320 * ellStar underflows to 0
+        (["sweep", "--eta-min", "1e-320", "--set", "chem.rhoR=1e3"], "r0 must be positive"),
+        # r0 = 1e308 * ellStar overflows to inf, and so does r0 / ellStar
+        (["sweep", "--eta-max", "1e308"], "scale eta is not finite"),
+    ],
+)
+def test_sweep_rows_out_of_float_range(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -202,6 +202,28 @@ def test_curve_guard(curve, lam, nonpositive, below_one):
 
 
 # ---------------------------------------------------------------------------
+# energy bits
+
+
+@pytest.mark.parametrize("method", ["w", "dw"])
+def test_energy_bits_agree_for_floats_and_arrays(method):
+    """The batch solve matches solve bit for bit only if w and dw give the
+    same bits for a float as for a float64 array element."""
+    fn = getattr(NeoHookean(1.7), method)
+    rng = np.random.default_rng(20261018)
+    lams = np.exp(rng.uniform(0.0, np.log(1e9), 100_000))
+    from_floats = np.array([fn(lam) for lam in lams.tolist()])
+    np.testing.assert_array_equal(from_floats.view(np.int64), fn(lams).view(np.int64))
+    for lam, nonpositive, _ in GUARD_CASES:
+        if nonpositive or not np.all(np.isfinite(lam)):
+            continue
+        as_array = np.array(lam, dtype=float, ndmin=1)
+        got = np.array([fn(x) for x in as_array.tolist()])
+        assert got.tobytes() == fn(as_array).tobytes()
+        assert np.asarray(fn(lam), dtype=float).tobytes() == fn(np.asarray(lam, dtype=float)).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # start-up
 
 

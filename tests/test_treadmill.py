@@ -6,6 +6,8 @@ so choosing the chemistry to make the relevant drive equal 2.53125 pins the
 limiting ratio at exactly 2.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from accrete.treadmill import (
     small_bead_quadratic,
     solvable,
     solve,
+    solve_eta,
 )
 
 
@@ -234,6 +237,45 @@ def test_thickness_and_speed_decrease_with_bead_radius():
     assert np.all(np.diff(V0s) < 0.0)
 
 
+GEOM = np.geomspace(1e-6, 1e6, 2500)
+
+
+@pytest.mark.parametrize(
+    "kw, etas",
+    [
+        ({}, GEOM),
+        ({"mu_inf": 5.53125}, GEOM),  # Vstarstar < 0: ablation-limited
+        ({"mu_inf": 1.500000000001}, GEOM),  # thin shell, d/r0 down to 1e-18
+        ({"energy": NeoHookean(0.1), "b0": 10.0, "b1": 0.1, "mu_inf": 3.5}, GEOM),
+        # 0.3 (mu_inf - 3) + 7 mu_inf rounds to 0, so the drive is the
+        # quotient 1 - Vstarstar/Vstar
+        ({"b0": 0.3, "b1": 7.0, "mu_inf": 0.12328767123287672}, GEOM),
+        ({}, np.linspace(1e-6, 1e6, 2500)),
+    ],
+    ids=["default", "ablation", "thin-shell", "soft-skewed", "drive-fallback", "linear"],
+)
+def test_solve_eta_matches_solve_bit_for_bit(kw, etas):
+    p = make_params(**kw)
+    ell = compute_scales(p).ellStar
+    table = solve_eta(p, etas)
+    names = [f.name for f in dataclasses.fields(table)]
+    got = np.column_stack([getattr(table, name) for name in names])
+    want = np.array(
+        [dataclasses.astuple(solve(dataclasses.replace(p, r0=eta * ell))) for eta in etas.tolist()]
+    )
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_solve_eta_rejects_rows_out_of_float_range():
+    p = make_params(rhoR=1e3)  # ellStar = 2e-6
+    with pytest.raises(ValueError, match="r0 must be positive"):
+        solve_eta(p, np.array([1e-320, 1.0]))
+    with pytest.raises(ValueError, match="scale eta is not finite"):
+        solve_eta(make_params(), np.array([1.0, 1e308]))
+    with pytest.raises(NoTreadmillingState):
+        solve_eta(make_params(muR1=-2.0), np.array([1.0]))
+
+
 def test_solution_bounds_random_parameters():
     rng = np.random.default_rng(20260822)
     for _ in range(150):
@@ -284,6 +326,8 @@ def test_bounded_energy_raises_numeric_failure():
     p = make_params(energy=Plateau(1.0), muR1=6.0, mu_inf=6.0)
     with pytest.raises(NumericFailure):
         solve(p)
+    with pytest.raises(NumericFailure):
+        solve_eta(p, np.geomspace(1e-3, 1e3, 7))
 
 
 # ---------------------------------------------------------------------------
