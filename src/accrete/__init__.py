@@ -7,9 +7,6 @@ from .strain_energy import (
     NeoHookean,
     ReducedEnergy,
     ValidationReport,
-    eval_d2w,
-    eval_dw,
-    eval_w,
     validate,
 )
 from .mechanics import (
@@ -54,9 +51,6 @@ __all__ = [
     "NeoHookean",
     "ReducedEnergy",
     "ValidationReport",
-    "eval_w",
-    "eval_dw",
-    "eval_d2w",
     "validate",
     "FieldSample",
     "ShellGeometry",

@@ -424,21 +424,6 @@ def cmd_profiles(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _adaptive_lam_max(cfg: RunConfig) -> float:
-    """Smallest doubling of (lam - 1) from 1 whose g - h is negative."""
-    s, params = cfg.scales, cfg.params
-    lam = 2.0
-    while (
-        treadmill.g(s.eta, lam, s.Vstar)
-        - treadmill.h(lam, s.Vstarstar, params.b1, params.energy)
-        > 0.0
-    ):
-        lam = 1.0 + 2.0 * (lam - 1.0)
-        if lam > 1e9:
-            raise NumericFailure("scan bound expansion exceeded lam = 1e9")
-    return lam
-
-
 def cmd_validate(cfg: RunConfig) -> int:
     """Run the energy checks and the uniqueness oracle; nonzero on failure."""
     report = strain_energy.validate(cfg.params.energy, 0.1, 10.0, 100)
@@ -453,7 +438,10 @@ def cmd_validate(cfg: RunConfig) -> int:
         )
     )
     if dec.ok:
-        brackets = treadmill.grid_scan_oracle(cfg.params, _adaptive_lam_max(cfg), 10000)
+        # Scan to past the solved root; the oracle counts sign changes on
+        # its own.  A thin shell can solve to nu == 1.0, hence the floor.
+        lam_max = max(2.0, 2.0 * treadmill.solve(cfg.params).nu - 1.0)
+        brackets = treadmill.grid_scan_oracle(cfg.params, lam_max, 10000)
         checks.append(
             strain_energy.CheckResult(
                 "uniqueness-oracle",

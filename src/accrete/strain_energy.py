@@ -28,9 +28,6 @@ import numpy as np
 __all__ = [
     "ReducedEnergy",
     "NeoHookean",
-    "eval_w",
-    "eval_dw",
-    "eval_d2w",
     "validate",
     "CheckResult",
     "ValidationReport",
@@ -107,33 +104,6 @@ class NeoHookean(ReducedEnergy):
     def d2w(self, lam):
         _check_positive_stretch(lam)
         return 2.0 * self.G * (1.0 + 5.0 * lam**-6)
-
-
-def eval_w(energy: ReducedEnergy, lam):
-    """Evaluate the energy density w(lam).
-
-    Raises ValueError for lam <= 0.
-    """
-    _check_positive_stretch(lam)
-    return energy.w(lam)
-
-
-def eval_dw(energy: ReducedEnergy, lam):
-    """Evaluate the first derivative dw(lam).
-
-    Raises ValueError for lam <= 0.
-    """
-    _check_positive_stretch(lam)
-    return energy.dw(lam)
-
-
-def eval_d2w(energy: ReducedEnergy, lam):
-    """Evaluate the second derivative d2w(lam).
-
-    Raises ValueError for lam <= 0.
-    """
-    _check_positive_stretch(lam)
-    return energy.d2w(lam)
 
 
 def modulus_scale(energy: ReducedEnergy) -> float:
@@ -252,21 +222,20 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
 
 
 def _derivative_check(energy: ReducedEnergy, grid: np.ndarray, order: int) -> CheckResult:
-    """Compare dw or d2w against central finite differences of w."""
+    """Compare dw or d2w against central finite differences of w.
+
+    A NaN anywhere on the grid makes the deviation NaN, so the check fails.
+    """
     gscale = modulus_scale(energy)
     rel = 1e-5 if order == 1 else 1e-4
-    worst = 0.0
-    for lam in map(float, grid):
-        s = rel * lam
-        wp = float(energy.w(lam + s))
-        wm = float(energy.w(lam - s))
-        if order == 1:
-            fd = (wp - wm) / (2.0 * s)
-            exact = float(energy.dw(lam))
-        else:
-            fd = (wp - 2.0 * float(energy.w(lam)) + wm) / (s * s)
-            exact = float(energy.d2w(lam))
-        err = abs(exact - fd) / max(abs(exact), gscale)
-        worst = max(worst, err)
+    s = rel * grid
+    wp, wm = energy.w(grid + s), energy.w(grid - s)
+    if order == 1:
+        fd = (wp - wm) / (2.0 * s)
+        exact = energy.dw(grid)
+    else:
+        fd = (wp - 2.0 * energy.w(grid) + wm) / (s * s)
+        exact = energy.d2w(grid)
+    worst = float(np.max(np.abs(exact - fd) / np.maximum(np.abs(exact), gscale)))
     name = "first-derivative-consistency" if order == 1 else "second-derivative-consistency"
     return CheckResult(name, worst <= 1e-6, f"max relative deviation {worst:.3e}")

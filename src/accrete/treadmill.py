@@ -466,11 +466,21 @@ def _drive(params: ModelParams, s: Scales) -> float:
     return drive
 
 
-def _back_substitute(params: ModelParams, s: Scales, w_nu):
-    """(V0, mu0, f0, f1) from w(nu), a float or a float64 array."""
+def _state(params: ModelParams, s: Scales, nu, w_nu, r0, mu1) -> TreadmillState:
+    """Back-substitute the state at nu from w(nu) and r0: floats, or
+    float64 arrays with mu1 filled to their shape."""
     V0 = s.Vstarstar + w_nu / params.b1
-    mu0 = params.mu_inf - (params.b0 + params.b1) * (s.Vstar - V0) / params.rhoR
-    return V0, mu0, params.b0 * V0, params.b1 * (-V0)
+    return TreadmillState(
+        nu=nu,
+        r1=nu * r0,
+        d=(nu - 1.0) * r0,
+        V0=V0,
+        V1=-V0,
+        mu0=params.mu_inf - (params.b0 + params.b1) * (s.Vstar - V0) / params.rhoR,
+        mu1=mu1,
+        f0=params.b0 * V0,
+        f1=params.b1 * (-V0),
+    )
 
 
 def solve(params: ModelParams) -> TreadmillState:
@@ -486,18 +496,7 @@ def solve(params: ModelParams) -> TreadmillState:
     """
     s = _solvable_scales(params)
     nu, w_nu = _find_root(params.energy, params.b1 * s.Vstar, _drive(params, s), s.eta)
-    V0, mu0, f0, f1 = _back_substitute(params, s, float(w_nu))
-    return TreadmillState(
-        nu=nu,
-        r1=nu * params.r0,
-        d=(nu - 1.0) * params.r0,
-        V0=V0,
-        V1=-V0,
-        mu0=mu0,
-        mu1=params.mu_inf,
-        f0=f0,
-        f1=f1,
-    )
+    return _state(params, s, nu, float(w_nu), params.r0, params.mu_inf)
 
 
 def solve_eta(params: ModelParams, eta) -> TreadmillState:
@@ -528,18 +527,7 @@ def solve_eta(params: ModelParams, eta) -> TreadmillState:
         if not np.all(np.isfinite(eta)):
             raise ValueError("scale eta is not finite")
         nu, w_nu = _find_roots(params.energy, params.b1 * s.Vstar, _drive(params, s), eta)
-        V0, mu0, f0, f1 = _back_substitute(params, s, w_nu)
-        return TreadmillState(
-            nu=nu,
-            r1=nu * r0,
-            d=(nu - 1.0) * r0,
-            V0=V0,
-            V1=-V0,
-            mu0=mu0,
-            mu1=np.full_like(nu, params.mu_inf),
-            f0=f0,
-            f1=f1,
-        )
+        return _state(params, s, nu, w_nu, r0, np.full_like(nu, params.mu_inf))
 
 
 def grid_scan_oracle(

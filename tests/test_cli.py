@@ -212,12 +212,13 @@ def test_unsolvable_chemistry_exit_code(capsys):
     assert "muR1 > muR0" in err
 
 
-def test_numeric_failure_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_numeric_failure_exit_code(capsys, monkeypatch, command):
     def boom(params):
         raise NumericFailure("forced for the exit-code contract")
 
     monkeypatch.setattr(cli.treadmill, "solve", boom)
-    code, _, err = run(capsys, ["solve"])
+    code, _, err = run(capsys, [command])
     assert code == 4
     assert "numeric failure" in err
 
@@ -497,15 +498,19 @@ def test_profiles_bad_geometry(capsys):
 
 
 def test_validate_default_passes(capsys):
-    code, out, _ = run(capsys, ["validate"])
-    assert code == 0
-    header, rows = read_csv(out)
-    assert header == "check,passed,detail"
-    names = [r["check"] for r in rows]
-    assert "zero-at-identity" in names
-    assert "treadmilling-solvable" in names
-    assert "uniqueness-oracle" in names
-    assert all(r["passed"] == "pass" for r in rows)
+    # mu_inf = 5.53125 gives nu of about 2.28, so the scan runs to 2 nu - 1
+    for extra in ([], ["--set", "chem.mu_inf=5.53125"]):
+        code, out, _ = run(capsys, ["validate", *extra])
+        assert code == 0
+        header, rows = read_csv(out)
+        assert header == "check,passed,detail"
+        names = [r["check"] for r in rows]
+        assert "zero-at-identity" in names
+        assert "treadmilling-solvable" in names
+        assert "uniqueness-oracle" in names
+        assert all(r["passed"] == "pass" for r in rows)
+        by_name = {r["check"]: r for r in rows}
+        assert by_name["uniqueness-oracle"]["detail"] == "1 sign-change bracket(s) found"
 
 
 def test_validate_unsolvable_fails(capsys):
@@ -516,6 +521,17 @@ def test_validate_unsolvable_fails(capsys):
     assert by_name["treadmilling-solvable"]["passed"] == "fail"
     assert "mu_inf > muStar" in by_name["treadmilling-solvable"]["detail"]
     assert "uniqueness-oracle" not in by_name
+
+
+def test_validate_derivative_checks_fail_on_overflow(capsys):
+    # every w on the grid overflows, so the deviations are NaN
+    code, out, _ = run(capsys, ["validate", "--set", "energy.G=1e308"])
+    assert code == 1
+    _, rows = read_csv(out)
+    by_name = {r["check"]: r for r in rows}
+    for name in ("first-derivative-consistency", "second-derivative-consistency"):
+        assert by_name[name]["passed"] == "fail"
+        assert by_name[name]["detail"] == "max relative deviation nan"
 
 
 def test_validate_thin_shell_passes(capsys):

@@ -15,7 +15,7 @@ from accrete.mechanics import (
     stretches,
     velocity,
 )
-from accrete.strain_energy import NeoHookean, eval_w
+from accrete.strain_energy import NeoHookean
 
 
 def test_geometry_validation():
@@ -208,4 +208,4 @@ def test_bead_pressure_matches_energy_at_outer_stretch():
         geom = ShellGeometry(r0, nu * r0)
         e = NeoHookean(G)
         p_bead = -radial_stress(r0, geom, e)
-        assert p_bead == pytest.approx(float(eval_w(e, geom.nu)), rel=1e-12)
+        assert p_bead == pytest.approx(float(e.w(geom.nu)), rel=1e-12)

@@ -11,9 +11,6 @@ import pytest
 from accrete.strain_energy import (
     NeoHookean,
     ReducedEnergy,
-    eval_d2w,
-    eval_dw,
-    eval_w,
     modulus_scale,
     validate,
 )
@@ -28,7 +25,7 @@ from accrete.strain_energy import (
     ],
 )
 def test_w_frozen_values(G, lam, expected):
-    assert eval_w(NeoHookean(G), lam) == expected
+    assert NeoHookean(G).w(lam) == expected
 
 
 @pytest.mark.parametrize(
@@ -40,7 +37,7 @@ def test_w_frozen_values(G, lam, expected):
     ],
 )
 def test_dw_frozen_values(G, lam, expected):
-    assert eval_dw(NeoHookean(G), lam) == expected
+    assert NeoHookean(G).dw(lam) == expected
 
 
 @pytest.mark.parametrize(
@@ -51,23 +48,23 @@ def test_dw_frozen_values(G, lam, expected):
     ],
 )
 def test_d2w_frozen_values(G, lam, expected):
-    assert eval_d2w(NeoHookean(G), lam) == expected
+    assert NeoHookean(G).d2w(lam) == expected
 
 
 def test_d2w_large_stretch_asymptote():
     # lam**-6 dies off; the limit is 2G
-    assert abs(eval_d2w(NeoHookean(1.0), 1e3) - 2.0) <= 1e-9
+    assert abs(NeoHookean(1.0).d2w(1e3) - 2.0) <= 1e-9
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9])
 def test_domain_errors(bad):
     e = NeoHookean(1.0)
     with pytest.raises(ValueError):
-        eval_w(e, bad)
+        e.w(bad)
     with pytest.raises(ValueError):
-        eval_dw(e, bad)
+        e.dw(bad)
     with pytest.raises(ValueError):
-        eval_d2w(e, bad)
+        e.d2w(bad)
 
 
 @pytest.mark.parametrize("G", [0.0, -2.0])
@@ -79,22 +76,22 @@ def test_modulus_must_be_positive(G):
 def test_identity_is_stress_free():
     for G in (0.25, 1.0, 7.0):
         e = NeoHookean(G)
-        assert eval_w(e, 1.0) == 0.0
-        assert eval_dw(e, 1.0) == 0.0
+        assert e.w(1.0) == 0.0
+        assert e.dw(1.0) == 0.0
 
 
 def test_sign_condition_on_grid():
     e = NeoHookean(2.0)
     grid = np.geomspace(0.2, 5.0, 41)
     for lam in grid[np.abs(grid - 1.0) > 1e-12]:
-        assert eval_dw(e, lam) * (lam - 1.0) > 0.0
-        assert eval_w(e, lam) > 0.0
+        assert e.dw(lam) * (lam - 1.0) > 0.0
+        assert e.w(lam) > 0.0
 
 
 def test_growth_on_tensile_ray():
     e = NeoHookean(1.0)
     lams = np.linspace(1.0, 50.0, 200)
-    w = eval_w(e, lams)
+    w = e.w(lams)
     assert np.all(np.diff(w) > 0.0)
     assert w[-1] > 1e3
 
@@ -103,9 +100,9 @@ def test_homogeneous_in_G():
     # Doubling G is an exact power-of-two scaling, so equality is exact.
     e1, e2 = NeoHookean(1.3), NeoHookean(2.6)
     for lam in np.geomspace(0.3, 4.0, 17):
-        assert eval_w(e2, lam) == 2.0 * eval_w(e1, lam)
-        assert eval_dw(e2, lam) == 2.0 * eval_dw(e1, lam)
-        assert eval_d2w(e2, lam) == 2.0 * eval_d2w(e1, lam)
+        assert e2.w(lam) == 2.0 * e1.w(lam)
+        assert e2.dw(lam) == 2.0 * e1.dw(lam)
+        assert e2.d2w(lam) == 2.0 * e1.d2w(lam)
 
 
 def test_derivatives_match_finite_differences_quadratically():
@@ -115,8 +112,8 @@ def test_derivatives_match_finite_differences_quadratically():
         errs = []
         for eps in (1e-3, 5e-4):
             s = eps * lam
-            fd = (eval_w(e, lam + s) - eval_w(e, lam - s)) / (2.0 * s)
-            errs.append(abs(fd - eval_dw(e, lam)))
+            fd = (e.w(lam + s) - e.w(lam - s)) / (2.0 * s)
+            errs.append(abs(fd - e.dw(lam)))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5, f"lam={lam}: ratio {ratio}"
 
@@ -125,8 +122,8 @@ def test_second_derivative_matches_finite_differences():
     e = NeoHookean(3.0)
     for lam in np.geomspace(0.3, 4.0, 9):
         s = 1e-4 * lam
-        fd2 = (eval_w(e, lam + s) - 2.0 * eval_w(e, lam) + eval_w(e, lam - s)) / (s * s)
-        assert fd2 == pytest.approx(eval_d2w(e, lam), rel=1e-6)
+        fd2 = (e.w(lam + s) - 2.0 * e.w(lam) + e.w(lam - s)) / (s * s)
+        assert fd2 == pytest.approx(e.d2w(lam), rel=1e-6)
 
 
 def test_modulus_scale_recovers_G():
@@ -159,6 +156,64 @@ class SkewedDerivative(NeoHookean):
 
     def dw(self, lam):
         return 1.01 * super().dw(lam)
+
+
+def loop_deviation(energy, grid, order):
+    """Largest relative deviation of dw or d2w from central differences of
+    w, one scalar call at a time: the reference for validate's array form."""
+    gscale = modulus_scale(energy)
+    rel = 1e-5 if order == 1 else 1e-4
+    worst = 0.0
+    for lam in map(float, grid):
+        s = rel * lam
+        wp, wm = float(energy.w(lam + s)), float(energy.w(lam - s))
+        if order == 1:
+            fd, exact = (wp - wm) / (2.0 * s), float(energy.dw(lam))
+        else:
+            fd = (wp - 2.0 * float(energy.w(lam)) + wm) / (s * s)
+            exact = float(energy.d2w(lam))
+        worst = max(worst, abs(exact - fd) / max(abs(exact), gscale))
+    return worst
+
+
+@pytest.mark.parametrize("G", [1e-6, 0.37, 1.0, 12.5, 3e5])
+@pytest.mark.parametrize("lam_min, lam_max, n", [(0.1, 10.0, 100), (0.5, 2.0, 37), (0.01, 100.0, 1000)])
+def test_derivative_checks_match_scalar_loop(G, lam_min, lam_max, n):
+    energy = NeoHookean(G)
+    checks = {c.name: c for c in validate(energy, lam_min, lam_max, n).checks}
+    grid = np.geomspace(lam_min, lam_max, n)
+    for order, name in ((1, "first-derivative-consistency"), (2, "second-derivative-consistency")):
+        worst = loop_deviation(energy, grid, order)
+        assert checks[name].detail == f"max relative deviation {worst:.3e}"
+        assert checks[name].passed == (worst <= 1e-6)
+
+
+class NaNDerivative(NeoHookean):
+    """Neo-Hookean whose first derivative is NaN everywhere."""
+
+    def dw(self, lam):
+        return np.nan * super().dw(lam)
+
+
+class NaNCurvatureAboveTwo(NeoHookean):
+    """Neo-Hookean whose second derivative is NaN above lam = 2."""
+
+    def d2w(self, lam):
+        return np.where(np.asarray(lam) > 2.0, np.nan, super().d2w(lam))
+
+
+@pytest.mark.parametrize(
+    "energy, name",
+    [
+        (NaNDerivative(1.0), "first-derivative-consistency"),
+        (NaNCurvatureAboveTwo(1.0), "second-derivative-consistency"),
+    ],
+    ids=["nan-dw", "nan-d2w-above-2"],
+)
+def test_derivative_check_fails_on_nan(energy, name):
+    checks = {c.name: c for c in validate(energy, 0.1, 10.0, 100).checks}
+    assert not checks[name].passed
+    assert checks[name].detail == "max relative deviation nan"
 
 
 def test_validate_passes_for_neo_hookean():

@@ -6,11 +6,14 @@ so choosing the chemistry to make the relevant drive equal 2.53125 pins the
 limiting ratio at exactly 2.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from accrete import treadmill
 from accrete.strain_energy import NeoHookean, ReducedEnergy
 from accrete.treadmill import (
     ModelParams,
@@ -467,3 +470,18 @@ def test_large_bead_argument_validation():
         large_bead_asymptote(make_params(), 0.0)
     with pytest.raises(NoTreadmillingState):
         large_bead_asymptote(make_params(muR1=-1.0), 10.0)
+
+
+def test_traced_treadmill_names_exist():
+    """perfbench/tracing.py wraps every name in its TREADMILL_API with
+    getattr(treadmill, name), so each one must stay on the module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TREADMILL_API" for t in node.targets
+        ):
+            names = ast.literal_eval(node.value)
+    assert names, "TREADMILL_API not found in perfbench/tracing.py"
+    assert [n for n in names if not hasattr(treadmill, n)] == []
