@@ -19,11 +19,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from itertools import zip_longest
-
-import numpy as np
 
 from . import diffusion, mechanics, strain_energy, treadmill
 from .strain_energy import NeoHookean
@@ -157,8 +156,8 @@ _KEYS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig) if "key" in
 class _Table:
     """Named columns of an output table.
 
-    A column is a float64 array, or a list whose cells are str or None
-    (empty).  A column shorter than the table ends in empty cells.
+    A column is a float64 array, a list of floats, or a list whose cells
+    are str or None (empty); a short column ends in empty cells.
     """
 
     names: tuple[str, ...]
@@ -192,7 +191,7 @@ def _coerce(key: str, raw: str):
         value = float(raw)
     except ValueError:
         raise ConfigError(f"value for {key} is not a number: {raw!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ConfigError(f"value for {key} must be finite: {raw!r}")
     return value
 
@@ -220,11 +219,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _cells(name: str, column, number, text, empty: str):
     """Iterator over the formatted cells of one column: numbers with
     number, strings with text.  A non-finite number raises at once."""
-    if isinstance(column, np.ndarray):
-        if not np.isfinite(column).all():
-            raise NumericFailure(f"non-finite {name} in the output")
-        return map(number, column.tolist())
-    return (empty if x is None else text(x) for x in column)
+    if isinstance(column, list):
+        if not (column and isinstance(column[0], float)):
+            return (empty if x is None else text(x) for x in column)
+        finite = all(map(math.isfinite, column))
+    else:  # a float64 array, so numpy is loaded already
+        import numpy as np
+        finite, column = np.isfinite(column).all(), column.tolist()
+    if not finite:
+        raise NumericFailure(f"non-finite {name} in the output")
+    return map(number, column)
 
 
 def _csv_number(x: float) -> str:
@@ -308,14 +312,15 @@ def cmd_solve(cfg: RunConfig) -> int:
         "state": dataclasses.asdict(state),
     }
     names = [*doc["scales"], *doc["state"]]
-    values = np.array([*doc["scales"].values(), *doc["state"].values()])
+    values = [*doc["scales"].values(), *doc["state"].values()]
     _write(cfg, doc, _Table(("name", "value"), [names, values]))
     return EXIT_OK
 
 
 def _sweep_rows(cfg: RunConfig) -> list:
     """The sweep columns, in SWEEP_FIELDS order."""
-    if not (np.isfinite(cfg.eta_min) and np.isfinite(cfg.eta_max)):
+    import numpy as np
+    if not (math.isfinite(cfg.eta_min) and math.isfinite(cfg.eta_max)):
         raise ConfigError("eta range must be finite")
     if not (cfg.eta_min > 0.0 and cfg.eta_max > cfg.eta_min):
         raise ConfigError("eta range must satisfy 0 < eta-min < eta-max")
@@ -363,11 +368,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list]:
     """Solved state (None with --r1) and the profile columns, in PROFILE_FIELDS order."""
+    import numpy as np
     if cfg.grid_n < 2:
         raise ConfigError("need at least 2 profile points")
     for name in ("r1", "v0"):
         value = getattr(cfg, name)
-        if value is not None and not np.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise ConfigError(f"--{name} must be finite")
     if cfg.v0 == 0.0:
         raise ConfigError("--v0 must be nonzero; v_over_V0 divides by it")
@@ -539,13 +545,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        cfg = _config_from_args(args)
+        if args.command == "solve":  # float arithmetic only; never loads numpy
+            return cmd_solve(cfg)
+        import numpy as np
         # Overflow and NaN in array arithmetic are caught where they would
         # be written (the writer raises NumericFailure), so numpy's warnings
         # would only repeat them on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
-            cfg = _config_from_args(args)
-            if args.command == "solve":
-                return cmd_solve(cfg)
             if args.command == "sweep":
                 return cmd_sweep(cfg)
             if args.command == "profiles":

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "TransportParams",
     "SteadyProfiles",
@@ -70,6 +68,7 @@ def flux(
     side : str, optional
         One-sided limit selector at r = r1; ignored elsewhere.
     """
+    import numpy as np
     r = np.asarray(r, dtype=float)
     if np.any(r < r0):
         raise ValueError("r < r0: no flux defined inside the bead")
@@ -126,6 +125,7 @@ def chemical_potential(r, profiles: SteadyProfiles):
     coincides with the inner limit.  A float r gives a float, an array an
     array.
     """
+    import numpy as np
     t = profiles.transport
     r = np.asarray(r, dtype=float)
     if np.any(r < profiles.r0):

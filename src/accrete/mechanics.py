@@ -10,10 +10,12 @@ here are pure functions of a static geometry; time never enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .strain_energy import ReducedEnergy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ShellGeometry",
@@ -73,6 +75,7 @@ def radius_of_particle(Z: float, Z0: float, r0: float) -> float:
     r = (r0**3 + 3 r0**2 (Z - Z0))**(1/3); Z is the cumulative material
     coordinate and Z0 marks the particle currently at the inner surface.
     """
+    import numpy as np
     if not r0 > 0.0:
         raise ValueError("r0 must be positive")
     if Z < Z0:
@@ -123,6 +126,7 @@ def _sigma(lam, lam1, energy: ReducedEnergy) -> tuple[np.ndarray, np.ndarray]:
     w is evaluated once, on lam with lam1 appended, so wherever lam == lam1
     sigma_r is w(lam1) - w(lam1) = 0 exactly.
     """
+    import numpy as np
     lam = np.append(lam, lam1)
     w = energy.w(lam)
     lam = lam[:-1]
@@ -168,6 +172,7 @@ def stress_profile(
     sigma_r[-1] is 0.  Velocity is filled only when V0 is given; transport
     fields stay None.
     """
+    import numpy as np
     if n < 2:
         raise ValueError("need at least 2 sample points")
     r = np.linspace(geom.r0, geom.r1, n)
@@ -193,6 +198,7 @@ def equilibrium_residual(geom: ShellGeometry, energy: ReducedEnergy, n: int) -> 
     d sigma_r/dr = 2 (sigma_theta - sigma_r)/r exactly, so the residual is
     pure truncation error and shrinks as O(dr**2).
     """
+    import numpy as np
     if n < 3:
         raise ValueError("need at least 3 grid points")
     if geom.r1 == geom.r0:

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ReducedEnergy",
     "NeoHookean",
@@ -36,10 +34,12 @@ __all__ = [
 
 
 def _check_positive_stretch(lam) -> None:
-    if type(lam) is float or type(lam) is np.float64:
-        if lam <= 0.0:
-            raise ValueError("stretch must be positive")
-    elif np.any(np.asarray(lam) <= 0.0):
+    if isinstance(lam, float):  # np.float64 too: it subclasses float
+        bad = lam <= 0.0
+    else:
+        import numpy as np
+        bad = np.any(np.asarray(lam) <= 0.0)
+    if bad:
         raise ValueError("stretch must be positive")
 
 
@@ -99,11 +99,11 @@ class NeoHookean(ReducedEnergy):
     def dw(self, lam):
         _check_positive_stretch(lam)
         l2 = lam * lam
-        return 2.0 * self.G * (lam - 1.0 / (l2 * l2 * lam))
+        return 2.0 * (self.G * (lam - 1.0 / (l2 * l2 * lam)))
 
     def d2w(self, lam):
         _check_positive_stretch(lam)
-        return 2.0 * self.G * (1.0 + 5.0 * lam**-6)
+        return 2.0 * (self.G * (1.0 + 5.0 * lam**-6))
 
 
 def modulus_scale(energy: ReducedEnergy) -> float:
@@ -154,6 +154,7 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
     ValidationReport
         One CheckResult per assumption; report.ok is the conjunction.
     """
+    import numpy as np
     if not (0.0 < lam_min < 1.0 < lam_max):
         raise ValueError("grid bounds must satisfy 0 < lam_min < 1 < lam_max")
     if n < 3:
@@ -221,11 +222,12 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
     return ValidationReport(tuple(checks))
 
 
-def _derivative_check(energy: ReducedEnergy, grid: np.ndarray, order: int) -> CheckResult:
-    """Compare dw or d2w against central finite differences of w.
+def _derivative_check(energy: ReducedEnergy, grid, order: int) -> CheckResult:
+    """Compare dw or d2w against central finite differences of w on grid.
 
     A NaN anywhere on the grid makes the deviation NaN, so the check fails.
     """
+    import numpy as np
     gscale = modulus_scale(energy)
     rel = 1e-5 if order == 1 else 1e-4
     s = rel * grid

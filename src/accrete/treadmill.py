@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .strain_energy import ReducedEnergy
 
 __all__ = [
@@ -214,10 +212,12 @@ def _solvable_scales(params: ModelParams) -> Scales:
 
 
 def _check_lam(lam) -> None:
-    if type(lam) is float or type(lam) is np.float64:
-        if lam < 1.0:
-            raise ValueError("lam must be >= 1")
-    elif np.any(np.asarray(lam) < 1.0):
+    if isinstance(lam, float):  # np.float64 too: it subclasses float
+        bad = lam < 1.0
+    else:
+        import numpy as np
+        bad = np.any(np.asarray(lam) < 1.0)
+    if bad:
         raise ValueError("lam must be >= 1")
 
 
@@ -258,8 +258,9 @@ def _estimate(drive: float, eta: float, k: float) -> float:
     return _polish(drive, a, c1, k, min(u, math.sqrt(drive / k)))
 
 
-def _estimates(drive: float, eta: np.ndarray, k) -> np.ndarray:
+def _estimates(drive: float, eta, k):
     """_estimate for every element of eta and k, with the same operations."""
+    import numpy as np
     a = 1.0 + eta
     c1 = eta - a * drive
     u = np.where(c1 > 0.0, drive / c1, np.inf)
@@ -357,7 +358,7 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
     return 1.0 + hi, w_hi
 
 
-def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta: np.ndarray):
+def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
     """_find_root for every element of the 1-D array eta, in one array pass.
 
     Each element goes through the same IEEE operations in the same order as
@@ -370,6 +371,7 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta: np.ndar
     rows still in progress; a row leaves where _find_root would return.
     Returns the arrays (lam, w(lam)).
     """
+    import numpy as np
     w, dw = energy.w, energy.dw
     lam_out = np.empty(eta.size)
     w_out = np.empty(eta.size)
@@ -512,6 +514,7 @@ def solve_eta(params: ModelParams, eta) -> TreadmillState:
     positive or its eta is not finite, as building those params or their
     scales would; and NumericFailure when solve would for some element.
     """
+    import numpy as np
     s = _solvable_scales(params)
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 1:
@@ -542,6 +545,7 @@ def grid_scan_oracle(
     yield exactly one bracket, and it must contain the solver's nu;
     anything else signals an inconsistency.
     """
+    import numpy as np
     s = _solvable_scales(params)
     if not lam_max > 1.0:
         raise ValueError("lam_max must exceed 1")

@@ -374,6 +374,16 @@ def test_nonfinite_output_is_numeric_failure(argv, child_env):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_solve_nonfinite_value_is_numeric_failure(capsys, fmt):
+    # nu is about 2.28, so r1 = nu r0 and d overflow to inf
+    argv = ["solve", "--format", fmt, "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=5.53125"]
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: non-finite value in the output")
+
+
 def test_nonfinite_output_writes_no_file(tmp_path, capsys):
     path = tmp_path / "profiles.json"
     code, out, err = run(
@@ -532,6 +542,16 @@ def test_validate_derivative_checks_fail_on_overflow(capsys):
     for name in ("first-derivative-consistency", "second-derivative-consistency"):
         assert by_name[name]["passed"] == "fail"
         assert by_name[name]["detail"] == "max relative deviation nan"
+
+
+def test_validate_stationary_at_identity_survives_huge_modulus(capsys):
+    # dw(1) = 2 (G * 0) = 0 even where 2 G overflows
+    code, out, _ = run(capsys, ["validate", "--set", "energy.G=1e308"])
+    assert code == 1
+    _, rows = read_csv(out)
+    by_name = {r["check"]: r for r in rows}
+    assert by_name["stationary-at-identity"]["passed"] == "pass"
+    assert by_name["stationary-at-identity"]["detail"] == "dw(1) = 0.000e+00"
 
 
 def test_validate_thin_shell_passes(capsys):

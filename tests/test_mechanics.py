@@ -36,6 +36,19 @@ def test_radius_of_particle_frozen_values():
     assert r == pytest.approx(2.7144, abs=1e-3)
 
 
+def test_radius_of_particle_is_numpy_cbrt_bit_for_bit():
+    # math.cbrt (Python 3.11+) differs from np.cbrt in the last bit on about
+    # half of these draws, so this pins the cube root, not just the formula.
+    rng = np.random.default_rng(20261018)
+    r0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 5000)).tolist()
+    Z0 = rng.uniform(-10.0, 10.0, 5000).tolist()
+    dZ = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 5000)).tolist()
+    for r, z0, dz in zip(r0, Z0, dZ):
+        Z = z0 + dz
+        expected = float(np.cbrt(r**3 + 3.0 * r**2 * (Z - z0)))
+        assert radius_of_particle(Z, z0, r).hex() == expected.hex()
+
+
 def test_radius_of_particle_rejects_bad_input():
     with pytest.raises(ValueError):
         radius_of_particle(1.0, 0.0, -1.0)

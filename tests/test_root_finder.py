@@ -7,14 +7,15 @@ input by input: each must raise or pass exactly as the plain numpy test
 ``np.any(np.asarray(lam) <= 0)`` (or ``< 1`` for g and h) decides.
 """
 
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from accrete.strain_energy import NeoHookean
-from accrete.treadmill import ModelParams, compute_scales, g, h, solve
+from accrete.strain_energy import NeoHookean, _check_positive_stretch
+from accrete.treadmill import ModelParams, _check_lam, compute_scales, g, h, solve
 
 
 class CountingEnergy(NeoHookean):
@@ -201,6 +202,37 @@ def test_curve_guard(curve, lam, nonpositive, below_one):
         curve(lam)
 
 
+def _numpy_typed_guard(lam, bound, strict):
+    """The stretch guards as they were written with numpy at module scope:
+    exact float and np.float64 compared directly, all else through numpy."""
+    if type(lam) is float or type(lam) is np.float64:
+        return lam < bound if strict else lam <= bound
+    below = np.asarray(lam) < bound if strict else np.asarray(lam) <= bound
+    return bool(np.any(below))
+
+
+def _equivalence_inputs(bound):
+    values = [bound, -0.0 * bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf),
+              bound - 0.5, bound + 0.5, -1.0, np.inf, -np.inf, np.nan]
+    for v in values:
+        yield from (v, np.float64(v), np.array(v), [v], [2.0, v], np.array([2.0, v]))
+    yield from ([], np.array([]), int(bound), np.float32(bound - 0.5), np.array([[bound, 2.0]]))
+
+
+@pytest.mark.parametrize(
+    "guard, bound, strict",
+    [(_check_positive_stretch, 0.0, False), (_check_lam, 1.0, True)],
+    ids=["positive-stretch", "lam"],
+)
+def test_guards_decide_as_the_numpy_typed_guards(guard, bound, strict):
+    for lam in _equivalence_inputs(bound):
+        if _numpy_typed_guard(lam, bound, strict):
+            with pytest.raises(ValueError):
+                guard(lam)
+        else:
+            guard(lam)
+
+
 # ---------------------------------------------------------------------------
 # energy bits
 
@@ -238,3 +270,38 @@ def test_cli_import_does_not_load_scipy(child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+COLD_CODE = """
+import json, sys
+import accrete
+after_package = "numpy" in sys.modules
+import accrete.cli
+after_cli = "numpy" in sys.modules
+code = accrete.cli.main(sys.argv[1:])
+print(json.dumps([after_package, after_cli, "numpy" in sys.modules, code]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["solve"], False),
+        (["solve", "--format", "json"], False),
+        (["sweep"], True),
+        (["profiles", "--format", "json"], True),
+        (["validate"], True),
+    ],
+)
+def test_only_the_array_commands_load_numpy(child_env, tmp_path, argv, loads_numpy):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_CODE, *argv, "--out", str(out)],
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, loads_numpy, 0]
+    assert out.stat().st_size > 0

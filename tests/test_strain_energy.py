@@ -131,6 +131,41 @@ def test_modulus_scale_recovers_G():
     assert modulus_scale(NeoHookean(4.0)) == 4.0
 
 
+def test_derivatives_keep_the_bits_of_the_doubled_modulus_form():
+    """dw and d2w are 2 (G x), which doubles exactly; wherever G x is a
+    normal float that has the bits of the old form (2 G) x."""
+    rng = np.random.default_rng(20261018)
+    G = np.exp(rng.uniform(np.log(1e-100), np.log(1e100), 2000))
+    lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2000))
+
+    def old_dw(G, lam):
+        l2 = lam * lam
+        return 2.0 * G * (lam - 1.0 / (l2 * l2 * lam))
+
+    def old_d2w(G, lam):
+        return 2.0 * G * (1.0 + 5.0 * lam**-6)
+
+    for g, x in zip(G.tolist(), lam.tolist()):
+        e = NeoHookean(g)
+        assert e.dw(x) == old_dw(g, x) and e.d2w(x) == old_d2w(g, x)
+    for g in G[:20].tolist():
+        e = NeoHookean(g)
+        assert e.dw(lam).tobytes() == old_dw(g, lam).tobytes()
+        assert e.d2w(lam).tobytes() == old_d2w(g, lam).tobytes()
+
+
+def test_dw_does_not_overflow_before_the_true_value_does():
+    # 2 G overflows at G = 1e308, but G (lam - lam**-5) does not
+    e = NeoHookean(1e308)
+    assert e.dw(1.0) == 0.0
+    assert e.dw(np.array([1.0])).tolist() == [0.0]
+    assert e.dw(1.1) == 2.0 * (1e308 * (1.1 - 1.1**-5))
+    assert np.isfinite(e.dw(1.1))
+    with np.errstate(over="ignore", invalid="ignore"):  # w overflows on the grid
+        report = validate(e, 0.1, 10.0, 100)
+    assert {c.name: c.passed for c in report.checks}["stationary-at-identity"]
+
+
 # ---------------------------------------------------------------------------
 # validate()
 
