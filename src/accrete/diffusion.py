@@ -134,7 +134,7 @@ def chemical_potential(r, profiles: SteadyProfiles):
         1.0 - profiles.r0 / r
     )
     outer = t.mu_inf - (t.rhoR * (profiles.V0 + profiles.V1) / t.M_outer) * (
-        profiles.r0**2 / r
+        profiles.r0 / r * profiles.r0
     )
     value = np.where(r < profiles.r1, inner, outer)
     return float(value) if value.ndim == 0 else value
@@ -157,5 +157,5 @@ def interface_residuals(state, params: TransportParams, r0: float) -> tuple[floa
     ) * (r1 / r0)
     res1 = params.rhoR * (state.V0 + state.V1) - params.M_outer * (
         params.mu_inf - state.mu1
-    ) * r1 / r0**2
+    ) * r1 / r0 / r0
     return res0, res1

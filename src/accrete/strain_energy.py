@@ -92,12 +92,14 @@ class NeoHookean(ReducedEnergy):
         return f"NeoHookean(G={self.G!r})"
 
     def w(self, lam):
-        _check_positive_stretch(lam)
+        if not (isinstance(lam, float) and lam > 0.0):
+            _check_positive_stretch(lam)
         y = (lam - 1.0) / lam * ((lam + 1.0) / lam)
         return 0.5 * self.G * (y * y * (2.0 * (lam * lam) + 1.0))
 
     def dw(self, lam):
-        _check_positive_stretch(lam)
+        if not (isinstance(lam, float) and lam > 0.0):
+            _check_positive_stretch(lam)
         l2 = lam * lam
         return 2.0 * (self.G * (lam - 1.0 / (l2 * l2 * lam)))
 

@@ -32,7 +32,7 @@ for a single state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .strain_energy import ReducedEnergy
 
@@ -166,23 +166,28 @@ def compute_scales(params: ModelParams) -> Scales:
     Raises ValueError when a scale leaves the float range, as it does for
     rhoR = 1e-200, whose square underflows to zero.
     """
+    return Scales(*_scale_values(params))
+
+
+def _scale_values(params: ModelParams) -> tuple[float, float, float, float, float]:
+    """The fields of compute_scales(params) as a tuple of floats, in order."""
     bsum = params.b0 + params.b1
     try:
         ellStar = bsum * params.M / params.rhoR**2
         eta = params.r0 / ellStar
     except (OverflowError, ZeroDivisionError):
         raise ValueError("diffusion length ellStar is out of the float range") from None
-    s = Scales(
-        Vstar=(params.muR1 - params.muR0) * params.rhoR / bsum,
-        Vstarstar=(params.muR1 - params.mu_inf) * params.rhoR / params.b1,
-        ellStar=ellStar,
-        muStar=(params.b0 * params.muR1 + params.b1 * params.muR0) / bsum,
-        eta=eta,
+    values = (
+        (params.muR1 - params.muR0) * params.rhoR / bsum,
+        (params.muR1 - params.mu_inf) * params.rhoR / params.b1,
+        ellStar,
+        (params.b0 * params.muR1 + params.b1 * params.muR0) / bsum,
+        eta,
     )
-    for name, value in vars(s).items():
-        if not math.isfinite(value):
-            raise ValueError(f"scale {name} is not finite")
-    return s
+    if not all(map(math.isfinite, values)):
+        name = next(f.name for f, v in zip(fields(Scales), values) if not math.isfinite(v))
+        raise ValueError(f"scale {name} is not finite")
+    return values
 
 
 def solvable(params: ModelParams) -> Solvability:
@@ -191,23 +196,25 @@ def solvable(params: ModelParams) -> Solvability:
     A state exists iff Vstar > 0 and Vstar > Vstarstar; in terms of the
     chemistry these are muR1 > muR0 and mu_inf > muStar.
     """
-    return _decide(compute_scales(params))
+    reason = _unsolvable(*_scale_values(params)[:2])
+    return Solvability(reason is None, reason)
 
 
-def _decide(s: Scales) -> Solvability:
-    if not s.Vstar > 0.0:
-        return Solvability(False, "Vstar <= 0 (requires muR1 > muR0)")
-    if not s.Vstar > s.Vstarstar:
-        return Solvability(False, "Vstar <= Vstarstar (requires mu_inf > muStar)")
-    return Solvability(True)
+def _unsolvable(Vstar: float, Vstarstar: float) -> str | None:
+    """The violated existence inequality, or None when a state exists."""
+    if not Vstar > 0.0:
+        return "Vstar <= 0 (requires muR1 > muR0)"
+    if not Vstar > Vstarstar:
+        return "Vstar <= Vstarstar (requires mu_inf > muStar)"
+    return None
 
 
-def _solvable_scales(params: ModelParams) -> Scales:
-    """compute_scales(params); raises NoTreadmillingState when no state exists."""
-    s = compute_scales(params)
-    dec = _decide(s)
-    if not dec.ok:
-        raise NoTreadmillingState(dec.reason)
+def _solvable_scales(params: ModelParams) -> tuple[float, float, float, float, float]:
+    """_scale_values(params); raises NoTreadmillingState when no state exists."""
+    s = _scale_values(params)
+    reason = _unsolvable(s[0], s[1])
+    if reason is not None:
+        raise NoTreadmillingState(reason)
     return s
 
 
@@ -299,10 +306,6 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
     """
     w = energy.w
     a1 = 1.0 + eta
-
-    def model(u: float, wu: float) -> float:
-        return _estimate(drive, eta, wu / (wscale * u * u))
-
     lo, f_lo, w_lo = 0.0, drive, 0.0
     u = min(1.0, _estimate(drive, eta, 0.0))
     while True:
@@ -317,12 +320,12 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
         if fu <= 0.0:
             break
         lo, f_lo, w_lo = u, fu, wu
-        u = 2.0 * model(u, wu)
+        u = 2.0 * _estimate(drive, eta, wu / (wscale * u * u))
     if fu == 0.0:
         return lam, wu
     hi, f_hi, w_hi = u, fu, wu
 
-    x = (1.0 + model(u, wu)) - 1.0
+    x = (1.0 + _estimate(drive, eta, wu / (wscale * u * u))) - 1.0
     if not lo < x < hi:
         x = lo if x <= lo else hi
     step = step_old = hi - lo
@@ -451,7 +454,7 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
     return lam_out, w_out
 
 
-def _drive(params: ModelParams, s: Scales) -> float:
+def _drive(params: ModelParams, Vstar: float, Vstarstar: float) -> float:
     """The drive 1 - Vstarstar/Vstar = (mu_inf - muStar) rhoR/(b1 Vstar).
 
     It is taken from the inputs.  Near mu_inf = muStar both of those forms
@@ -464,24 +467,17 @@ def _drive(params: ModelParams, s: Scales) -> float:
     if not drive > 0.0:
         # mu_inf within rounding of muStar, which the existence test does
         # not see; the quotient is positive whenever Vstar > Vstarstar.
-        drive = 1.0 - s.Vstarstar / s.Vstar
+        drive = 1.0 - Vstarstar / Vstar
     return drive
 
 
-def _state(params: ModelParams, s: Scales, nu, w_nu, r0, mu1) -> TreadmillState:
+def _state(params: ModelParams, Vstar, Vstarstar, nu, w_nu, r0, mu1) -> TreadmillState:
     """Back-substitute the state at nu from w(nu) and r0: floats, or
     float64 arrays with mu1 filled to their shape."""
-    V0 = s.Vstarstar + w_nu / params.b1
+    V0 = Vstarstar + w_nu / params.b1
+    mu0 = params.mu_inf - (params.b0 + params.b1) * (Vstar - V0) / params.rhoR
     return TreadmillState(
-        nu=nu,
-        r1=nu * r0,
-        d=(nu - 1.0) * r0,
-        V0=V0,
-        V1=-V0,
-        mu0=params.mu_inf - (params.b0 + params.b1) * (s.Vstar - V0) / params.rhoR,
-        mu1=mu1,
-        f0=params.b0 * V0,
-        f1=params.b1 * (-V0),
+        nu, nu * r0, (nu - 1.0) * r0, V0, -V0, mu0, mu1, params.b0 * V0, params.b1 * (-V0)
     )
 
 
@@ -496,9 +492,9 @@ def solve(params: ModelParams) -> TreadmillState:
     (u = nu - 1, V/Vstar, w/(b1 Vstar)) so conditioning is uniform across
     many decades of eta; outputs are dimensional.
     """
-    s = _solvable_scales(params)
-    nu, w_nu = _find_root(params.energy, params.b1 * s.Vstar, _drive(params, s), s.eta)
-    return _state(params, s, nu, float(w_nu), params.r0, params.mu_inf)
+    Vstar, Vstarstar, _, _, eta = _solvable_scales(params)
+    nu, w_nu = _find_root(params.energy, params.b1 * Vstar, _drive(params, Vstar, Vstarstar), eta)
+    return _state(params, Vstar, Vstarstar, nu, float(w_nu), params.r0, params.mu_inf)
 
 
 def solve_eta(params: ModelParams, eta) -> TreadmillState:
@@ -515,7 +511,7 @@ def solve_eta(params: ModelParams, eta) -> TreadmillState:
     scales would; and NumericFailure when solve would for some element.
     """
     import numpy as np
-    s = _solvable_scales(params)
+    Vstar, Vstarstar, ellStar, _, _ = _solvable_scales(params)
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 1:
         raise ValueError("eta must be a 1-D array")
@@ -523,14 +519,15 @@ def solve_eta(params: ModelParams, eta) -> TreadmillState:
     # arms of every np.where are computed, so a row may also overflow or
     # divide by zero in an arm that its scalar solve never takes.
     with np.errstate(all="ignore"):
-        r0 = eta * s.ellStar
+        r0 = eta * ellStar
         if not np.all(r0 > 0.0):
             raise ValueError("r0 must be positive")
-        eta = r0 / s.ellStar
+        eta = r0 / ellStar
         if not np.all(np.isfinite(eta)):
             raise ValueError("scale eta is not finite")
-        nu, w_nu = _find_roots(params.energy, params.b1 * s.Vstar, _drive(params, s), eta)
-        return _state(params, s, nu, w_nu, r0, np.full_like(nu, params.mu_inf))
+        drive = _drive(params, Vstar, Vstarstar)
+        nu, w_nu = _find_roots(params.energy, params.b1 * Vstar, drive, eta)
+        return _state(params, Vstar, Vstarstar, nu, w_nu, r0, np.full_like(nu, params.mu_inf))
 
 
 def grid_scan_oracle(
@@ -546,7 +543,7 @@ def grid_scan_oracle(
     anything else signals an inconsistency.
     """
     import numpy as np
-    s = _solvable_scales(params)
+    Vstar, Vstarstar, _, _, eta = _solvable_scales(params)
     if not lam_max > 1.0:
         raise ValueError("lam_max must exceed 1")
     if n < 100:
@@ -554,7 +551,7 @@ def grid_scan_oracle(
     u = np.geomspace((lam_max - 1.0) * 1e-13, lam_max - 1.0, n)
     lam = 1.0 + np.append(0.0, u)
     F = np.asarray(
-        g(s.eta, lam, s.Vstar) - h(lam, s.Vstarstar, params.b1, params.energy),
+        g(eta, lam, Vstar) - h(lam, Vstarstar, params.b1, params.energy),
         dtype=float,
     )
     pos = F > 0.0
@@ -574,9 +571,9 @@ def small_bead_asymptote(params: ModelParams) -> tuple[float, float, float]:
     w(nu)/b1 = Vstar - Vstarstar, the accretion speed tends to Vstar and
     the inner potential to mu_inf.
     """
-    s = _solvable_scales(params)
-    nu_star = _root_of_w(params.energy, params.b1, s.Vstar - s.Vstarstar)
-    return nu_star, s.Vstar, params.mu_inf
+    Vstar, Vstarstar, _, _, _ = _solvable_scales(params)
+    nu_star = _root_of_w(params.energy, params.b1, Vstar - Vstarstar)
+    return nu_star, Vstar, params.mu_inf
 
 
 def small_bead_quadratic(params: ModelParams) -> float:
@@ -588,8 +585,8 @@ def small_bead_quadratic(params: ModelParams) -> float:
     d2w1 = float(params.energy.d2w(1.0))
     if not d2w1 > 0.0:
         raise ValueError("estimate needs d2w(1) > 0")
-    s = compute_scales(params)
-    drive = (params.mu_inf - s.muStar) * params.rhoR
+    muStar = _scale_values(params)[3]
+    drive = (params.mu_inf - muStar) * params.rhoR
     if drive < 0.0:
         raise ValueError("estimate needs mu_inf >= muStar")
     return math.sqrt(2.0 * drive / d2w1)
@@ -610,15 +607,15 @@ def large_bead_asymptote(
     estimate is unavailable (None): the first branch divides by zero and
     no intermediate scaling is provided here.
     """
-    s = _solvable_scales(params)
+    Vstar, Vstarstar, _, _, _ = _solvable_scales(params)
     if not eta > 0.0:
         raise ValueError("eta must be positive")
     bsum = params.b0 + params.b1
-    if s.Vstarstar > 0.0:
-        d_est = (s.Vstar / s.Vstarstar - 1.0) / eta
-        return d_est, s.Vstarstar, params.mu_inf + bsum * (s.Vstarstar - s.Vstar) / params.rhoR
-    if s.Vstarstar == 0.0:
-        return None, 0.0, params.mu_inf - bsum * s.Vstar / params.rhoR
-    nu2 = _root_of_w(params.energy, params.b1, -s.Vstarstar)
-    V0_est = s.Vstar / (1.0 - 1.0 / nu2) / eta
+    if Vstarstar > 0.0:
+        d_est = (Vstar / Vstarstar - 1.0) / eta
+        return d_est, Vstarstar, params.mu_inf + bsum * (Vstarstar - Vstar) / params.rhoR
+    if Vstarstar == 0.0:
+        return None, 0.0, params.mu_inf - bsum * Vstar / params.rhoR
+    nu2 = _root_of_w(params.energy, params.b1, -Vstarstar)
+    V0_est = Vstar / (1.0 - 1.0 / nu2) / eta
     return nu2 - 1.0, V0_est, params.mu_inf + params.muR0 - params.muR1

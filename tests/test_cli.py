@@ -375,6 +375,22 @@ def test_nonfinite_output_is_numeric_failure(argv, child_env):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("r0", ["1e160", "1e200", "1e308", "1.7e308"])
+def test_profiles_of_a_huge_bead_end_without_traceback(child_env, r0, fmt):
+    """r0**2 overflows a float above r0 = 1.3e154; no field may square r0."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "accrete.cli", "profiles", "--set", f"geom.r0={r0}",
+         "--format", fmt],
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode in (0, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_solve_nonfinite_value_is_numeric_failure(capsys, fmt):
     # nu is about 2.28, so r1 = nu r0 and d overflow to inf
     argv = ["solve", "--format", fmt, "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=5.53125"]

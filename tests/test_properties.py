@@ -1,9 +1,10 @@
-"""Property tests of the batch solve over drawn chemistries.
+"""Property tests of the solves over drawn chemistries.
 
 Hypothesis draws G, b0, b1 and the drive mu_inf - muStar; each example
 solves one table of 61 bead radii with solve_eta.  The drive runs from
 1e-6 to 10, so with muR1 = 3 both signs of Vstarstar occur, and eta stops
 at 1e6, where d/r0 still moves by many ulp of nu from one row to the next.
+The rescaling test solves single states, with muR0 drawn as well.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from accrete.strain_energy import NeoHookean  # noqa: E402
-from accrete.treadmill import ModelParams, compute_scales, solve_eta  # noqa: E402
+from accrete.treadmill import ModelParams, compute_scales, solve, solve_eta  # noqa: E402
 
 ETAS = np.geomspace(1e-6, 1e6, 61)
 EPS = 2.0**-52
@@ -37,3 +38,27 @@ def test_thickness_falls_and_speed_is_bounded(G, b0, b1, drive):
     ratio, lower = table.V0 / s.Vstar, s.Vstarstar / s.Vstar
     assert np.all(ratio >= lower - 4.0 * EPS * abs(lower))
     assert np.all(ratio <= 1.0 + 4.0 * EPS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    G=decades(-1.0, 1.0), b0=decades(-1.0, 1.0), b1=decades(-1.0, 1.0),
+    muR0=st.floats(-3.0, 3.0), gap=decades(-1.0, 1.0), drive=decades(-6.0, 1.0),
+    eta=decades(-6.0, 6.0), k=st.integers(-40, 40), j=st.integers(-40, 40),
+)
+def test_matched_rescaling_is_bit_for_bit(G, b0, b1, muR0, gap, drive, eta, k, j):
+    """Scaling muR0, muR1, mu_inf and G by 2**k, or r0 and M by 2**j, is
+    exact in floating point, so the solve must be too: nu and d keep their
+    bits under the first, nu under the second, and V0 and d scale exactly."""
+    muR1 = muR0 + gap
+    mu_inf = (b0 * muR1 + b1 * muR0) / (b0 + b1) + drive
+
+    def state(c, m):
+        return solve(ModelParams(
+            energy=NeoHookean(G * c), b0=b0, b1=b1, muR0=muR0 * c, muR1=muR1 * c,
+            mu_inf=mu_inf * c, rhoR=1.0, M=m, r0=eta * (b0 + b1) * m,
+        ))
+
+    base, chem, geom = state(1.0, 1.0), state(2.0**k, 1.0), state(1.0, 2.0**j)
+    assert (chem.nu, chem.d, chem.V0) == (base.nu, base.d, base.V0 * 2.0**k)
+    assert (geom.nu, geom.d) == (base.nu, base.d * 2.0**j)

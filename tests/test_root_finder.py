@@ -7,15 +7,29 @@ input by input: each must raise or pass exactly as the plain numpy test
 ``np.any(np.asarray(lam) <= 0)`` (or ``< 1`` for g and h) decides.
 """
 
+import ast
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import accrete
+from accrete import treadmill
 from accrete.strain_energy import NeoHookean, _check_positive_stretch
-from accrete.treadmill import ModelParams, _check_lam, compute_scales, g, h, solve
+from accrete.treadmill import (
+    ModelParams,
+    NoTreadmillingState,
+    _check_lam,
+    compute_scales,
+    g,
+    h,
+    solve,
+    solve_eta,
+)
 
 
 class CountingEnergy(NeoHookean):
@@ -82,6 +96,31 @@ def test_energy_calls_per_solve():
     # median and 117 at worst on this draw (3 and 9 now).
     assert np.median(w_calls) <= 10
     assert max(w_calls) < 104
+
+
+def test_solve_builds_no_scales_or_solvability(monkeypatch):
+    """The solves work on plain floats: with Scales and Solvability unable to
+    be built, solve and solve_eta still return the same states."""
+    rng = np.random.default_rng(11)
+    params = [draw(rng, NeoHookean) for _ in range(50)]
+    etas = np.geomspace(1e-6, 1e6, 25)
+    states = [solve(p) for p in params]
+    table = solve_eta(params[0], etas)
+    unsolvable = dataclasses.replace(params[0], muR1=-1.0)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(treadmill.Scales, "__init__", refuse)
+    monkeypatch.setattr(treadmill.Solvability, "__init__", refuse)
+    with pytest.raises(AssertionError, match="Scales built"):
+        compute_scales(params[0])
+    assert [solve(p) for p in params] == states
+    assert [a.tobytes() for a in dataclasses.astuple(solve_eta(params[0], etas))] == [
+        a.tobytes() for a in dataclasses.astuple(table)
+    ]
+    with pytest.raises(NoTreadmillingState):
+        solve(unsolvable)
 
 
 @pytest.mark.parametrize("energy", [SkewedDerivative, WrongSignDerivative])
@@ -257,6 +296,14 @@ def test_energy_bits_agree_for_floats_and_arrays(method):
 
 # ---------------------------------------------------------------------------
 # start-up
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml promises requires-python >= 3.10."""
+    paths = sorted(Path(accrete.__file__).resolve().parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_cli_import_does_not_load_scipy(child_env):

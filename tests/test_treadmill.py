@@ -8,6 +8,7 @@ limiting ratio at exactly 2.
 
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from accrete.treadmill import (
     ModelParams,
     NoTreadmillingState,
     NumericFailure,
+    Scales,
     compute_scales,
     g,
     grid_scan_oracle,
@@ -137,6 +139,73 @@ def test_solvable_cases():
     # both boundaries count as unsolvable
     assert not solvable(make_params(muR1=0.0)).ok
     assert not solvable(make_params(mu_inf=1.5)).ok
+
+
+def draw_any(rng):
+    """A parameter set from every corner of the existence and range checks.
+
+    muR1 falls below, on or above muR0; mu_inf below or above muStar, or
+    within a few ulp of it; rhoR is sometimes 1e-200, whose square
+    underflows, and r0 sometimes 1.7e308 with ellStar = 1e-3, which makes
+    eta overflow.
+    """
+    b0, b1, M, G = 10.0 ** rng.uniform(-2.0, 2.0, 4)
+    muR0 = rng.uniform(-3.0, 3.0)
+    muR1 = muR0 + rng.choice([-1.0, 0.0, 1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0)
+    mu_star = (b0 * muR1 + b1 * muR0) / (b0 + b1)
+    gap = 10.0 ** rng.uniform(-6.0, 1.0)
+    mu_inf = rng.choice([mu_star - gap, mu_star + gap, mu_star + gap,
+                         mu_star + int(rng.integers(-3, 4)) * math.ulp(mu_star)])
+    rhoR = 10.0 ** rng.uniform(-1.0, 1.0)
+    r0 = 10.0 ** rng.uniform(-6.0, 6.0) * (b0 + b1) * M / rhoR**2
+    if rng.random() < 0.1:
+        rhoR = 1e-200
+    elif rng.random() < 0.1:
+        rhoR, M, r0 = 1.0, 1e-3 / (b0 + b1), 1.7e308  # eta near 1.7e311
+    values = dict(b0=b0, b1=b1, muR0=muR0, muR1=muR1, mu_inf=mu_inf, rhoR=rhoR, M=M, r0=r0)
+    return make_params(energy=NeoHookean(G), **{k: float(v) for k, v in values.items()})
+
+
+def test_solve_errors_agree_with_scales_and_solvable():
+    """solve raises what compute_scales and solvable decide, message for message,
+    and compute_scales gives the written-out formulas."""
+    rng = np.random.default_rng(20261018)
+    outcomes = set()
+    for _ in range(3000):
+        p = draw_any(rng)
+        try:
+            s = compute_scales(p)
+        except ValueError as e:
+            outcomes.add(str(e))
+            for fn in (solve, solvable):
+                with pytest.raises(ValueError) as exc:
+                    fn(p)
+                assert str(exc.value) == str(e)
+            continue
+        bsum = p.b0 + p.b1
+        ell = bsum * p.M / p.rhoR**2
+        assert s == Scales(
+            Vstar=(p.muR1 - p.muR0) * p.rhoR / bsum,
+            Vstarstar=(p.muR1 - p.mu_inf) * p.rhoR / p.b1,
+            ellStar=ell,
+            muStar=(p.b0 * p.muR1 + p.b1 * p.muR0) / bsum,
+            eta=p.r0 / ell,
+        )
+        dec = solvable(p)
+        outcomes.add(dec.reason)
+        if dec.ok:
+            assert solve(p).nu >= 1.0
+        else:
+            with pytest.raises(NoTreadmillingState) as exc:
+                solve(p)
+            assert exc.value.reason == dec.reason
+    assert outcomes == {
+        None,
+        "Vstar <= 0 (requires muR1 > muR0)",
+        "Vstar <= Vstarstar (requires mu_inf > muStar)",
+        "diffusion length ellStar is out of the float range",
+        "scale eta is not finite",
+    }
 
 
 def test_model_params_validation():
