@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import chain
 
 from . import diffusion, mechanics, strain_energy, treadmill
 from .strain_energy import NeoHookean
@@ -216,75 +216,73 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _cells(name: str, column, number, text, empty: str):
-    """Iterator over the formatted cells of one column: numbers with
-    number, strings with text.  A non-finite number raises at once."""
-    if isinstance(column, list):
-        if not (column and isinstance(column[0], float)):
-            return (empty if x is None else text(x) for x in column)
-        finite = all(map(math.isfinite, column))
-    else:  # a float64 array, so numpy is loaded already
-        import numpy as np
-        finite, column = np.isfinite(column).all(), column.tolist()
-    if not finite:
-        raise NumericFailure(f"non-finite {name} in the output")
-    return map(number, column)
+def _columns(table: _Table, number: str, text, empty: str) -> list:
+    """(cells, format, literal) of each column for %: floats under number,
+    text(x) for str and empty for None under %s, and the literal for a row
+    past the column's end.  A non-finite number raises before any format."""
+    columns = []
+    for name, column in zip(table.names, table.columns):
+        if isinstance(column, list) and not (column and isinstance(column[0], float)):
+            columns.append(([empty if x is None else text(x) for x in column], "%s", empty))
+            continue
+        if isinstance(column, list):  # %s of an np.float64 is numpy's str, not float repr
+            finite, column = all(map(math.isfinite, column)), [*map(float, column)]
+        else:  # a float64 array, so numpy is loaded already
+            import numpy as np
+            finite, column = np.isfinite(column).all(), column.tolist()
+        if not finite:
+            raise NumericFailure(f"non-finite {name} in the output")
+        columns.append((column, number, empty))
+    return columns
 
 
-def _csv_number(x: float) -> str:
-    return format(x, ".17g")
+def _fill(columns: list, keys, head: str, sep: str, tail: str) -> str:
+    """Rows of head + sep.join(key + cell) + tail, one % per run of rows
+    that have the same columns; past the end of a column, its literal."""
+    text, lo = [], 0
+    for hi in sorted({len(c) for c, _, _ in columns} - {0}):
+        row = sep.join(k + (f if len(c) >= hi else e) for k, (c, f, e) in zip(keys, columns))
+        cells = zip(*(c[lo:hi] for c, _, _ in columns if len(c) >= hi))
+        text.append((head + row + tail) * (hi - lo) % tuple(chain.from_iterable(cells)))
+        lo = hi
+    return "".join(text)
 
 
 def _csv_text(table: _Table) -> str:
-    cells = [
-        _cells(name, col, _csv_number, str, "")
-        for name, col in zip(table.names, table.columns)
-    ]
-    rows = map(",".join, zip_longest(*cells, fillvalue=""))
-    return "\n".join([",".join(table.names), *rows]) + "\n"
-
-
-def _dumps(doc) -> str:
-    try:
-        return json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NumericFailure(f"non-finite value in the output: {exc}") from None
+    rows = _fill(_columns(table, "%.17g", str, ""), [""] * len(table.names), "", ",", "\n")
+    return ",".join(table.names) + "\n" + rows
 
 
 def _json_text(doc: dict) -> str:
     """json.dumps(doc, indent=2) text, with a _Table as the last value of
     doc written as its list of row objects.
 
-    The rows are filled into one template with the strings json.dumps
-    gives for each cell (float repr, null, quoted strings), so no row
-    object is ever built.
+    No row object is built.  Each row format holds a key and a %s per cell,
+    filled with the text json.dumps gives the cell (float repr, a quoted
+    string, null), or a literal null past the end of a short column.
     """
     key, table = list(doc.items())[-1]
-    if not isinstance(table, _Table):
-        return _dumps(doc) + "\n"
-    text = _dumps({**doc, key: []})  # ends in '"rows": []\n}'
-    cells = [
-        _cells(name, col, float.__repr__, json.dumps, "null")
-        for name, col in zip(table.names, table.columns)
-    ]
-    if not any(len(col) for col in table.columns):
-        return text + "\n"
-    template = (
-        "    {\n"
-        + ",\n".join(f"      {json.dumps(name)}: %s" for name in table.names)
-        + "\n    }"
-    )
-    body = ",\n".join(template % row for row in zip_longest(*cells, fillvalue="null"))
-    return text[:-4] + "[\n" + body + "\n  ]\n}\n"
+    is_table, rows = isinstance(table, _Table), ""
+    try:
+        text = json.dumps({**doc, key: []} if is_table else doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailure(f"non-finite value in the output: {exc}") from None
+    if is_table:  # text ends in '"rows": []\n}'
+        keys = [f"      {json.dumps(name)}: " for name in table.names]
+        rows = _fill(_columns(table, "%s", json.dumps, "null"), keys,
+                     "    {\n", ",\n", "\n    },\n")[:-2]  # cells freed before the join
+    return "".join([text[:-4], "[\n", rows, "\n  ]\n}\n"]) if rows else text + "\n"
 
 
 def _write(cfg: RunConfig, doc: dict, table: _Table) -> None:
     """Write table as CSV, or doc as JSON, exactly as json.dumps(doc,
     indent=2) lays it out; doc is only read for JSON.
 
-    The whole text is formatted before anything is written, and a number
-    that is not finite raises NumericFailure: NaN and infinities are not
-    valid JSON, and an inf in a CSV cell is no result either.
+    Every column is checked before any cell is formatted, and the whole
+    text is formatted before anything is written.  A number that is not
+    finite raises NumericFailure: NaN and infinities are not valid JSON,
+    and an inf in a CSV cell is no result either.  The cells are filled in
+    by one % per run of rows with the same columns, not one call per cell.
     """
     text = _json_text(doc) if cfg.fmt == "json" else _csv_text(table)
     if cfg.out is None:

@@ -304,6 +304,8 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
     down to its rounding noise), or when the bracket holds no float between
     its ends, and returns the bracket endpoint with the smaller |F|.
     """
+    if wscale == 0.0:  # b1 times a speed, underflowed
+        raise ValueError("energy scale b1 V of the root is out of the float range")
     w = energy.w
     a1 = 1.0 + eta
     lo, f_lo, w_lo = 0.0, drive, 0.0
@@ -374,6 +376,8 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
     rows still in progress; a row leaves where _find_root would return.
     Returns the arrays (lam, w(lam)).
     """
+    if wscale == 0.0:  # b1 times a speed, underflowed
+        raise ValueError("energy scale b1 V of the root is out of the float range")
     import numpy as np
     w, dw = energy.w, energy.dw
     lam_out = np.empty(eta.size)
@@ -461,9 +465,12 @@ def _drive(params: ModelParams, Vstar: float, Vstarstar: float) -> float:
     cancel after rounding Vstarstar/Vstar or muStar, and showed up to four
     times the error of this one.
     """
-    drive = (
-        params.b0 * (params.mu_inf - params.muR1) + params.b1 * (params.mu_inf - params.muR0)
-    ) / (params.b1 * (params.muR1 - params.muR0))
+    try:
+        drive = (
+            params.b0 * (params.mu_inf - params.muR1) + params.b1 * (params.mu_inf - params.muR0)
+        ) / (params.b1 * (params.muR1 - params.muR0))
+    except ZeroDivisionError:
+        raise ValueError("drive scale b1 (muR1 - muR0) is out of the float range") from None
     if not drive > 0.0:
         # mu_inf within rounding of muStar, which the existence test does
         # not see; the quotient is positive whenever Vstar > Vstarstar.

@@ -6,13 +6,17 @@ subprocess smoke test covers the installed module entry point.
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from accrete import cli
 from accrete.strain_energy import NeoHookean
@@ -374,6 +378,35 @@ def test_nonfinite_output_is_numeric_failure(argv, child_env):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # b1 (muR1 - muR0) = 1e-500 underflows in the drive of the solve
+        ["solve", "--set", "kinetics.b1=1e-300", "--set", "chem.muR1=1e-200",
+         "--set", "chem.mu_inf=3.0"],
+        # b1 (Vstar - Vstarstar) = 1e-300 * 2.5e-300 underflows in the
+        # small-bead estimate of the sweep
+        ["sweep", "--set", "kinetics.b0=1e300", "--set", "kinetics.b1=1e-300",
+         "--set", "chem.muR0=5e-324", "--set", "chem.muR1=2.5", "--set", "chem.mu_inf=2.5",
+         "--points", "3"],
+    ],
+)
+def test_underflowing_kinetic_scale_is_input_error(argv, child_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "accrete.cli", *argv],
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.endswith(" is out of the float range\n")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("r0", ["1e160", "1e200", "1e308", "1.7e308"])
 def test_profiles_of_a_huge_bead_end_without_traceback(child_env, r0, fmt):
@@ -624,6 +657,121 @@ def test_csv_none_cells_are_empty(capsys):
     for name in ("sigma_r_over_G", "sigma_theta_over_G", "lam_r", "lam_theta", "v_over_V0"):
         assert cells[name] == ""
     assert all(line.split(",")[1] == "" for line in lines[:-2])
+
+
+# ---------------------------------------------------------------------------
+# the table writer, against the per-cell writer it replaced
+
+
+def reference_columns(table):
+    """The columns as lists, arrays through tolist(); a non-finite number
+    raises, as the writer does, naming the first such column."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.columns]
+    for name, column in zip(table.names, columns):
+        if any(isinstance(x, float) and not math.isfinite(x) for x in column):
+            raise NumericFailure(f"non-finite {name} in the output")
+    return columns
+
+
+def reference_csv(table):
+    """One format(x, ".17g") call per number; short columns padded by zip_longest."""
+    cells = [
+        ["" if x is None else x if isinstance(x, str) else format(x, ".17g") for x in column]
+        for column in reference_columns(table)
+    ]
+    rows = map(",".join, zip_longest(*cells, fillvalue=""))
+    return "\n".join([",".join(table.names), *rows]) + "\n"
+
+
+def reference_json(doc):
+    """json.dumps(doc, indent=2), with a table as the last value of doc
+    turned into real row dicts, None past the end of a short column."""
+    key, table = list(doc.items())[-1]
+    if isinstance(table, cli._Table):
+        rows = zip_longest(*reference_columns(table))
+        doc = {**doc, key: [dict(zip(table.names, row)) for row in rows]}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5, 0.1,
+]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def tables(draw):
+    """A _Table of ragged columns: float64 arrays, lists of floats and
+    np.float64, lists of str and None, and empty columns."""
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(0, n_rows))
+        kind = draw(st.sampled_from(["array", "floats", "text"]))
+        if kind == "text" or size == 0:
+            cells = st.none() | st.text(max_size=6)
+            columns.append(draw(st.lists(cells, min_size=size, max_size=size)))
+            continue
+        values = draw(st.lists(FINITE, min_size=size, max_size=size))
+        if kind == "array":
+            columns.append(np.array(values))
+        else:
+            types = st.sampled_from([float, np.float64])
+            columns.append([draw(types)(x) for x in values])
+    return cli._Table(tuple(f"c{i}" for i in range(len(columns))), columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_writer_matches_the_per_cell_writer(table):
+    assert cli._csv_text(table) == reference_csv(table)
+    doc = {"params": {"G": 1.0}, "rows": table}
+    assert cli._json_text(doc) == reference_json(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.data())
+def test_writer_raises_on_a_nonfinite_cell_in_any_column(table, data):
+    numeric = [i for i, c in enumerate(table.columns) if len(c) and isinstance(c[0], float)]
+    assume(numeric)
+    i = data.draw(st.sampled_from(numeric))
+    column = table.columns[i].copy()
+    column[data.draw(st.integers(0, len(column) - 1))] = data.draw(
+        st.sampled_from([math.nan, math.inf, -math.inf])
+    )
+    table = cli._Table(table.names, [*table.columns[:i], column, *table.columns[i + 1:]])
+    for text in (cli._csv_text, reference_csv, lambda t: cli._json_text({"rows": t})):
+        with pytest.raises(NumericFailure, match=f"non-finite c{i} in the output"):
+            text(table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--points", "40"],  # Vstarstar > 0: every column is full
+        ["sweep", "--points", "40", "--set", "chem.mu_inf=10"],  # no diffusion-limited estimate
+        ["profiles", "--grid-n", "40"],  # one more row at r1, of transport only
+        ["profiles", "--grid-n", "40", "--r1", "2.0"],
+        ["profiles", "--grid-n", "40", "--r1", "2.0", "--v0", "0.5"],
+        ["solve"],
+        ["validate"],
+    ],
+)
+def test_every_command_writes_the_per_cell_writers_bytes(capsys, monkeypatch, argv, fmt):
+    written = []
+    write = cli._write
+
+    def record(cfg, doc, table):
+        written.append((doc, table))
+        write(cfg, doc, table)
+
+    monkeypatch.setattr(cli, "_write", record)
+    code, out, _ = run(capsys, [*argv, "--format", fmt])
+    assert code == 0
+    [(doc, table)] = written
+    assert out == (reference_json(doc) if fmt == "json" else reference_csv(table))
 
 
 def test_stdout_and_file_output_agree(tmp_path, capsys):

@@ -348,6 +348,30 @@ def test_solve_eta_rejects_rows_out_of_float_range():
         solve_eta(make_params(muR1=-2.0), np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "kw, scale",
+    [
+        # b1 (muR1 - muR0) = 1e-500 underflows in the drive
+        (dict(b1=1e-300, muR1=1e-200, mu_inf=3.0), "drive scale"),
+        # b1 Vstar = 1e-420 underflows, though b1 (muR1 - muR0) = 1e-320 does not
+        (dict(b1=1e-300, muR1=1e-20, mu_inf=2e-20, rhoR=1e-100), "energy scale"),
+    ],
+)
+def test_underflowing_kinetic_scale_is_value_error(kw, scale):
+    p = make_params(**kw)
+    with pytest.raises(ValueError, match=f"^{scale} .* is out of the float range$"):
+        solve(p)
+    with pytest.raises(ValueError, match=f"^{scale} .* is out of the float range$"):
+        solve_eta(p, np.array([0.5, 2.0]))
+
+
+def test_small_bead_asymptote_underflowing_scale_is_value_error():
+    # b1 (Vstar - Vstarstar) = 1e-300 * 2.5e-300 underflows
+    p = make_params(b0=1e300, b1=1e-300, muR0=5e-324, muR1=2.5, mu_inf=2.5)
+    with pytest.raises(ValueError, match="^energy scale .* is out of the float range$"):
+        small_bead_asymptote(p)
+
+
 def test_solution_bounds_random_parameters():
     rng = np.random.default_rng(20260822)
     for _ in range(150):
