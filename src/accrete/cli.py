@@ -544,18 +544,18 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "solve":  # float arithmetic only; never loads numpy
+        if args.command == "solve":  # solve and validate run on floats; no numpy
             return cmd_solve(cfg)
+        if args.command == "validate":
+            return cmd_validate(cfg)
         import numpy as np
-        # Overflow and NaN in array arithmetic are caught where they would
-        # be written (the writer raises NumericFailure), so numpy's warnings
-        # would only repeat them on stderr.
+        # Overflow and NaN in the array arithmetic of sweep and profiles are
+        # caught where they would be written (the writer raises
+        # NumericFailure), so numpy's warnings would only repeat them.
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "sweep":
                 return cmd_sweep(cfg)
-            if args.command == "profiles":
-                return cmd_profiles(cfg)
-            return cmd_validate(cfg)
+            return cmd_profiles(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

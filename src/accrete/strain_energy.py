@@ -21,6 +21,7 @@ deliberately pathological energies can be exercised in negative tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -75,7 +76,8 @@ class NeoHookean(ReducedEnergy):
     same bits; the batch solve relies on that.  Where the sum overflows,
     w of a float gives inf like an array does, not OverflowError.  Below
     about lam = 2e-65, where lam**5 underflows to 0, dw of a float raises
-    ZeroDivisionError and dw of an array gives -inf.
+    ZeroDivisionError and dw of an array gives -inf; below about 4e-52
+    d2w of a float raises OverflowError from lam**-6, of an array inf.
 
     Parameters
     ----------
@@ -140,8 +142,23 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _geomspace(a: float, b: float, n: int) -> list[float]:
+    """numpy.geomspace(a, b, n) as floats; numpy's SIMD pow and log10 may differ in the last bit."""
+    la = math.log10(a)
+    step = (math.log10(b) - la) / (n - 1)
+    return [float(a), *(10.0 ** (i * step + la) for i in range(1, n - 1)), float(b)]
+
+
+def _extreme(pick, values: list[float]) -> float:
+    """min or max of values, NaN if any value is NaN, as numpy's are."""
+    return math.nan if any(v != v for v in values) else pick(values)
+
+
 def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> ValidationReport:
     """Check the structural assumptions on an energy over a log grid.
+
+    The energy is called one float at a time, without numpy, so an energy
+    that raises on a float raises here (NeoHookean: d2w below lam = 4e-52).
 
     Parameters
     ----------
@@ -156,14 +173,13 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
     ValidationReport
         One CheckResult per assumption; report.ok is the conjunction.
     """
-    import numpy as np
     if not (0.0 < lam_min < 1.0 < lam_max):
         raise ValueError("grid bounds must satisfy 0 < lam_min < 1 < lam_max")
     if n < 3:
         raise ValueError("need at least 3 grid points")
 
-    grid = np.geomspace(lam_min, lam_max, n)
-    off_identity = grid[np.abs(grid - 1.0) > 1e-9]
+    grid = _geomspace(lam_min, lam_max, n)
+    off_identity = [x for x in grid if abs(x - 1.0) > 1e-9]
     gscale = modulus_scale(energy)
     checks: list[CheckResult] = []
 
@@ -185,17 +201,16 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
         )
     )
 
-    w_vals = np.asarray(energy.w(off_identity), dtype=float)
+    w_vals = [float(energy.w(x)) for x in off_identity]
     checks.append(
         CheckResult(
             "positive-away-from-identity",
-            bool(np.all(w_vals > 0.0)),
-            f"min w off identity = {w_vals.min():.3e}",
+            all(v > 0.0 for v in w_vals),
+            f"min w off identity = {_extreme(min, w_vals):.3e}",
         )
     )
 
-    dw_vals = np.asarray(energy.dw(off_identity), dtype=float)
-    sign_ok = bool(np.all(dw_vals * (off_identity - 1.0) > 0.0))
+    sign_ok = all(float(energy.dw(x)) * (x - 1.0) > 0.0 for x in off_identity)
     checks.append(
         CheckResult(
             "sign-condition",
@@ -205,41 +220,38 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
     )
 
     # Unboundedness is untestable as a limit; check monotone growth on the
-    # tensile tail plus a concrete gain over the identity value.
-    tail = grid[grid >= 1.0]
-    tail_w = np.asarray(energy.w(tail), dtype=float)
-    growing = bool(np.all(np.diff(tail_w) > 0.0)) if tail.size >= 2 else True
-    gained = float(energy.w(lam_max)) > w1 + gscale
+    # tensile tail, which ends at lam_max, and a gain over the identity value.
+    tail_w = [float(energy.w(x)) for x in grid if x >= 1.0]
+    growing = all(b - a > 0.0 for a, b in zip(tail_w, tail_w[1:]))
     checks.append(
         CheckResult(
             "unbounded-growth",
-            growing and gained,
-            f"w({lam_max:g}) - w(1) = {float(energy.w(lam_max)) - w1:.3e}",
+            growing and tail_w[-1] > w1 + gscale,
+            f"w({lam_max:g}) - w(1) = {tail_w[-1] - w1:.3e}",
         )
     )
 
-    checks.append(_derivative_check(energy, grid, order=1))
-    checks.append(_derivative_check(energy, grid, order=2))
+    checks.append(_derivative_check(energy, grid, 1, gscale))
+    checks.append(_derivative_check(energy, grid, 2, gscale))
 
     return ValidationReport(tuple(checks))
 
 
-def _derivative_check(energy: ReducedEnergy, grid, order: int) -> CheckResult:
+def _derivative_check(energy: ReducedEnergy, grid: list, order: int, gscale: float) -> CheckResult:
     """Compare dw or d2w against central finite differences of w on grid.
 
     A NaN anywhere on the grid makes the deviation NaN, so the check fails.
     """
-    import numpy as np
-    gscale = modulus_scale(energy)
     rel = 1e-5 if order == 1 else 1e-4
-    s = rel * grid
-    wp, wm = energy.w(grid + s), energy.w(grid - s)
-    if order == 1:
-        fd = (wp - wm) / (2.0 * s)
-        exact = energy.dw(grid)
-    else:
-        fd = (wp - 2.0 * energy.w(grid) + wm) / (s * s)
-        exact = energy.d2w(grid)
-    worst = float(np.max(np.abs(exact - fd) / np.maximum(np.abs(exact), gscale)))
+    deviations = []
+    for x in grid:
+        s = rel * x
+        wp, wm = float(energy.w(x + s)), float(energy.w(x - s))
+        if order == 1:
+            fd, exact = (wp - wm) / (2.0 * s), float(energy.dw(x))
+        else:
+            fd, exact = (wp - 2.0 * float(energy.w(x)) + wm) / (s * s), float(energy.d2w(x))
+        deviations.append(abs(exact - fd) / max(abs(exact), gscale))
+    worst = _extreme(max, deviations)
     name = "first-derivative-consistency" if order == 1 else "second-derivative-consistency"
     return CheckResult(name, worst <= 1e-6, f"max relative deviation {worst:.3e}")

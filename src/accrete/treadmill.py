@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .strain_energy import ReducedEnergy
+from .strain_energy import ReducedEnergy, _geomspace
 
 __all__ = [
     "ModelParams",
@@ -542,28 +542,22 @@ def grid_scan_oracle(
 ) -> list[tuple[float, float]]:
     """Independent uniqueness check: scan g - h for sign changes.
 
-    Evaluates F = g - h at lam = 1 and on n points log-spaced in
-    (lam - 1) up to lam_max, and returns every interval whose endpoints
-    straddle zero.  F(1) = Vstar - Vstarstar > 0, so a root below the
-    first log-spaced point still gives a bracket.  Valid parameters must
-    yield exactly one bracket, and it must contain the solver's nu;
+    Evaluates F = g - h on floats, without numpy, at lam = 1 and on n
+    points log-spaced in (lam - 1) up to lam_max, and returns every interval
+    whose endpoints straddle zero.  F(1) = Vstar - Vstarstar > 0, so a root
+    below the first log-spaced point still gives a bracket.  Valid parameters
+    must yield exactly one bracket, and it must contain the solver's nu;
     anything else signals an inconsistency.
     """
-    import numpy as np
     Vstar, Vstarstar, _, _, eta = _solvable_scales(params)
     if not lam_max > 1.0:
         raise ValueError("lam_max must exceed 1")
     if n < 100:
         raise ValueError("need at least 100 scan points")
-    u = np.geomspace((lam_max - 1.0) * 1e-13, lam_max - 1.0, n)
-    lam = 1.0 + np.append(0.0, u)
-    F = np.asarray(
-        g(eta, lam, Vstar) - h(lam, Vstarstar, params.b1, params.energy),
-        dtype=float,
-    )
-    pos = F > 0.0
-    flips = np.nonzero(pos[:-1] != pos[1:])[0]
-    return [(float(lam[i]), float(lam[i + 1])) for i in flips]
+    lam = [1.0, *(1.0 + u for u in _geomspace((lam_max - 1.0) * 1e-13, lam_max - 1.0, n))]
+    w, b1 = params.energy.w, params.b1
+    pos = [Vstar / (1.0 + eta * (x - 1.0) / x) - (Vstarstar + w(x) / b1) > 0.0 for x in lam]
+    return [(lam[i], lam[i + 1]) for i in range(n) if pos[i] != pos[i + 1]]
 
 
 def _root_of_w(energy: ReducedEnergy, b1: float, target: float) -> float:
@@ -624,5 +618,7 @@ def large_bead_asymptote(
     if Vstarstar == 0.0:
         return None, 0.0, params.mu_inf - bsum * Vstar / params.rhoR
     nu2 = _root_of_w(params.energy, params.b1, -Vstarstar)
+    if nu2 == 1.0:  # nu2 - 1 is below one ulp, and V0 would divide by zero
+        raise ValueError("large-bead shell thickness nu2 - 1 is out of the float range")
     V0_est = Vstar / (1.0 - 1.0 / nu2) / eta
     return nu2 - 1.0, V0_est, params.mu_inf + params.muR0 - params.muR1

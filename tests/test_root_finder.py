@@ -330,17 +330,9 @@ print(json.dumps([after_package, after_cli, "numpy" in sys.modules, code]))
 """
 
 
-@pytest.mark.parametrize(
-    "argv, loads_numpy",
-    [
-        (["solve"], False),
-        (["solve", "--format", "json"], False),
-        (["sweep"], True),
-        (["profiles", "--format", "json"], True),
-        (["validate"], True),
-    ],
-)
-def test_only_the_array_commands_load_numpy(child_env, tmp_path, argv, loads_numpy):
+def run_cold(child_env, tmp_path, argv):
+    """[numpy after import accrete, after import accrete.cli, after the run,
+    exit code] of one cold process running cli.main(argv)."""
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-c", COLD_CODE, *argv, "--out", str(out)],
@@ -350,5 +342,26 @@ def test_only_the_array_commands_load_numpy(child_env, tmp_path, argv, loads_num
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, False, loads_numpy, 0]
     assert out.stat().st_size > 0
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["solve"], False),
+        (["solve", "--format", "json"], False),
+        (["sweep"], True),
+        (["profiles", "--format", "json"], True),
+        (["validate"], False),
+        (["validate", "--format", "json"], False),
+    ],
+)
+def test_only_the_array_commands_load_numpy(child_env, tmp_path, argv, loads_numpy):
+    assert run_cold(child_env, tmp_path, argv) == [False, False, loads_numpy, 0]
+
+
+def test_failing_validate_loads_no_numpy(child_env, tmp_path):
+    # muR1 < muR0: the solvability check fails, so validate exits 1
+    argv = ["validate", "--set", "chem.muR1=-1"]
+    assert run_cold(child_env, tmp_path, argv) == [False, False, False, 1]

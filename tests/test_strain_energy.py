@@ -251,6 +251,48 @@ def test_derivative_check_fails_on_nan(energy, name):
     assert checks[name].detail == "max relative deviation nan"
 
 
+class NaNAtOnePoint(NeoHookean):
+    """Neo-Hookean whose w, dw or d2w is NaN within 0.1% of one interior
+    point of the grid geomspace(0.1, 10, 100), its 31st, and nowhere else
+    on the grid."""
+
+    AT = 0.1 * 100.0 ** (30 / 99)
+
+    def __init__(self, G, which):
+        super().__init__(G)
+        self.which = which
+
+    def _poison(self, name, lam):
+        value = getattr(super(), name)(lam)
+        if name != self.which:
+            return value
+        return np.where(np.abs(np.asarray(lam) / self.AT - 1.0) < 1e-3, np.nan, value)
+
+    def w(self, lam):
+        return self._poison("w", lam)
+
+    def dw(self, lam):
+        return self._poison("dw", lam)
+
+    def d2w(self, lam):
+        return self._poison("d2w", lam)
+
+
+@pytest.mark.parametrize(
+    "which, name, detail",
+    [
+        ("w", "positive-away-from-identity", "min w off identity = nan"),
+        ("dw", "first-derivative-consistency", "max relative deviation nan"),
+        ("d2w", "second-derivative-consistency", "max relative deviation nan"),
+    ],
+)
+def test_check_fails_on_nan_at_one_interior_point(which, name, detail):
+    # a min or max that skips a NaN not in first place would pass these
+    checks = {c.name: c for c in validate(NaNAtOnePoint(1.0, which), 0.1, 10.0, 100).checks}
+    assert not checks[name].passed
+    assert checks[name].detail == detail
+
+
 def test_validate_passes_for_neo_hookean():
     report = validate(NeoHookean(1.0), 0.1, 10.0, 100)
     assert report.ok, report.failed()
@@ -272,6 +314,20 @@ def test_validate_flags_wrong_derivative():
     assert not names["first-derivative-consistency"]
     # everything not involving dw against w is still fine
     assert names["zero-at-identity"]
+
+
+class Wavy(NeoHookean):
+    """Neo-Hookean times 1 + 0.9 sin(5 lam): positive off identity and large
+    at lam = 10, but not increasing on the tensile tail."""
+
+    def w(self, lam):
+        return super().w(lam) * (1.0 + 0.9 * np.sin(5.0 * np.asarray(lam)))
+
+
+def test_validate_flags_growth_that_is_not_monotone():
+    names = {c.name: c.passed for c in validate(Wavy(1.0), 0.1, 10.0, 100).checks}
+    assert names["positive-away-from-identity"]
+    assert not names["unbounded-growth"]
 
 
 @pytest.mark.parametrize(

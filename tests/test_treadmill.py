@@ -565,6 +565,17 @@ def test_large_bead_argument_validation():
         large_bead_asymptote(make_params(muR1=-1.0), 10.0)
 
 
+def test_large_bead_shell_thinner_than_an_ulp_is_a_value_error():
+    # w(nu2)/b1 = -Vstarstar = 1e-32 puts nu2 - 1 near 4e-17, so nu2 rounds
+    # to 1.0 and V0 = Vstar/(1 - 1/nu2)/eta would divide by zero; the state
+    # itself solves (nu about 1.337)
+    p = ModelParams(NeoHookean(1.0), b0=1.0, b1=1.0, muR0=-1.0, muR1=0.0, mu_inf=1e-32,
+                    rhoR=1.0, M=1.0, r0=1.0)
+    assert solve(p).nu > 1.3
+    with pytest.raises(ValueError, match="out of the float range"):
+        large_bead_asymptote(p, 10.0)
+
+
 def test_traced_treadmill_names_exist():
     """perfbench/tracing.py wraps every name in its TREADMILL_API with
     getattr(treadmill, name), so each one must stay on the module."""
