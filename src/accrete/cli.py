@@ -12,6 +12,9 @@ inputs give byte-identical files.
 
 Exit codes: 0 success, 1 failed validation check, 2 malformed input,
 3 no treadmilling state, 4 numeric failure.
+
+numpy is imported only for a sweep or profile of more than _ARRAY_ROWS
+(256) rows; every other run computes on floats, with the same bits.
 """
 
 from __future__ import annotations
@@ -73,6 +76,12 @@ PROFILE_FIELDS = (
     "h",
     "mu",
 )
+
+
+# Up to this many rows, a sweep or profile runs on floats, row by row, and
+# never imports numpy (about 55 ms of a cold run); a longer one runs on
+# float64 arrays.  Both evaluate the same formulas and give the same bits.
+_ARRAY_ROWS = 256
 
 
 class ConfigError(Exception):
@@ -317,7 +326,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def _sweep_rows(cfg: RunConfig) -> list:
     """The sweep columns, in SWEEP_FIELDS order."""
-    import numpy as np
     if not (math.isfinite(cfg.eta_min) and math.isfinite(cfg.eta_max)):
         raise ConfigError("eta range must be finite")
     if not (cfg.eta_min > 0.0 and cfg.eta_max > cfg.eta_min):
@@ -326,30 +334,25 @@ def _sweep_rows(cfg: RunConfig) -> list:
         raise ConfigError("need at least 2 sweep points")
     scales = cfg.scales
     nu_star, _, _ = treadmill.small_bead_asymptote(cfg.params)
-    if cfg.linear:
-        etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.points)
+    space = strain_energy._linspace if cfg.linear else strain_energy._geomspace
+    etas = space(cfg.eta_min, cfg.eta_max, cfg.points)
+
+    def cells(st):  # of one row's state (floats) or of every row's (arrays)
+        return st.nu, st.nu - 1.0, st.V0, st.V0 / scales.Vstar, st.mu0, st.f0, st.f1
+
+    # Each row is bit for bit solve at r0 = eta * ellStar: in one array pass,
+    # or row by row with the same checks and errors.
+    if cfg.points > _ARRAY_ROWS:
+        import numpy as np
+        columns = cells(treadmill.solve_eta(cfg.params, np.array(etas)))
     else:
-        etas = np.geomspace(cfg.eta_min, cfg.eta_max, cfg.points)
-    # One array pass; each row is bit for bit solve at r0 = eta * ellStar.
-    st = treadmill.solve_eta(cfg.params, etas)
+        columns = [[*c] for c in zip(*map(cells, treadmill._solve_rows(cfg.params, etas)))]
     # Vstar and Vstarstar do not depend on r0, so the diffusion-limited
     # estimate (Vstar/Vstarstar - 1)/eta of large_bead_asymptote needs only
     # the base scales; it does not apply when Vstarstar <= 0.
-    d_diffusion_limited = (
-        (scales.Vstar / scales.Vstarstar - 1.0) / etas if scales.Vstarstar > 0.0 else []
-    )
-    return [
-        etas,
-        st.nu,
-        st.nu - 1.0,
-        st.V0,
-        st.V0 / scales.Vstar,
-        st.mu0,
-        st.f0,
-        st.f1,
-        np.full(len(etas), nu_star - 1.0),
-        d_diffusion_limited,
-    ]
+    c = scales.Vstar / scales.Vstarstar - 1.0 if scales.Vstarstar > 0.0 else None
+    d_diffusion_limited = [] if c is None else [c / eta for eta in etas]
+    return [etas, *columns, [nu_star - 1.0] * len(etas), d_diffusion_limited]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -366,7 +369,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list]:
     """Solved state (None with --r1) and the profile columns, in PROFILE_FIELDS order."""
-    import numpy as np
     if cfg.grid_n < 2:
         raise ConfigError("need at least 2 profile points")
     for name in ("r1", "v0"):
@@ -377,41 +379,42 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
         raise ConfigError("--v0 must be nonzero; v_over_V0 divides by it")
     energy = cfg.params.energy
     gscale = strain_energy.modulus_scale(energy)
+    state = None
+    if cfg.r1 is None:
+        state = treadmill.solve(cfg.params)
+        profiles = diffusion.SteadyProfiles(V0=state.V0, V1=state.V1, mu0=state.mu0, r0=cfg.r0,
+                                            r1=state.r1, transport=cfg.transport)
+    geom = mechanics.ShellGeometry(cfg.r0, cfg.r1 if state is None else state.r1)
+    V0 = cfg.v0 if state is None else state.V0
 
-    if cfg.r1 is not None:
+    def cells(f):  # at one radius (floats) or at every radius (arrays)
+        cols = [f.r, f.sigma_r / gscale, f.sigma_theta / gscale, f.lam_r, f.lam_theta]
+        if V0 is not None:  # a float divided by 0.0 raises; in an array it is NaN
+            cols.append(f.v / V0 if V0 else f.v * math.nan)
+        if state is not None:
+            cols += [f.r == state.r1, profiles.h(f.r, side="below"), profiles.mu(f.r)]
+        return cols
+
+    if cfg.grid_n > _ARRAY_ROWS:
+        import numpy as np
+        cols, append = cells(mechanics.stress_profile(geom, energy, cfg.grid_n, V0=V0)), np.append
+    else:  # the same cells, one radius at a time
+        radii = strain_energy._linspace(geom.r0, geom.r1, cfg.grid_n)
+        cols = [[*x] for x in zip(*(cells(mechanics._sample(r, geom, energy, V0)) for r in radii))]
+        append = list.__add__
+    v = [] if V0 is None else cols[5]
+    if state is None:
         # Mechanics-only mode: geometry given directly, no chemistry attached,
         # so side, h and mu are empty.
-        geom = mechanics.ShellGeometry(cfg.r0, cfg.r1)
-        f = mechanics.stress_profile(geom, energy, cfg.grid_n, V0=cfg.v0)
-        v_over_V0 = [] if cfg.v0 is None else f.v / cfg.v0
-        columns = [
-            f.r, [], f.sigma_r / gscale, f.sigma_theta / gscale,
-            f.lam_r, f.lam_theta, v_over_V0, [], [],
-        ]
-        return None, columns
-
-    state = treadmill.solve(cfg.params)
-    profiles = diffusion.SteadyProfiles(
-        V0=state.V0,
-        V1=state.V1,
-        mu0=state.mu0,
-        r0=cfg.r0,
-        r1=state.r1,
-        transport=cfg.transport,
-    )
-    geom = mechanics.ShellGeometry(cfg.r0, state.r1)
-    f = mechanics.stress_profile(geom, energy, cfg.grid_n, V0=state.V0)
+        return None, [cols[0], [], *cols[1:5], v, [], []]
     # The flux jumps at the outer surface: the samples at r1 take the inside
     # limit, and one more row at r1 the outside limit, where the mechanical
     # columns end.
-    r = np.append(f.r, state.r1)
-    side = ["below" if at else None for at in (f.r == state.r1).tolist()] + ["above"]
-    h = np.append(profiles.h(f.r, side="below"), profiles.h(state.r1, side="above"))
-    columns = [
-        r, side, f.sigma_r / gscale, f.sigma_theta / gscale,
-        f.lam_r, f.lam_theta, f.v / state.V0, h, profiles.mu(r),
-    ]
-    return state, columns
+    at_r1, h, mu = cols[-3:]
+    side = ["below" if at else None for at in at_r1] + ["above"]
+    h = append(h, [profiles.h(state.r1, side="above")])
+    mu = append(mu, [profiles.mu(state.r1)])
+    return state, [append(cols[0], [state.r1]), side, *cols[1:5], v, h, mu]
 
 
 def cmd_profiles(cfg: RunConfig) -> int:
@@ -544,18 +547,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "solve":  # solve and validate run on floats; no numpy
-            return cmd_solve(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
+        command = {"solve": cmd_solve, "sweep": cmd_sweep, "profiles": cmd_profiles,
+                   "validate": cmd_validate}[args.command]
+        if {"sweep": cfg.points, "profiles": cfg.grid_n}.get(args.command, 0) <= _ARRAY_ROWS:
+            return command(cfg)  # on floats; numpy is not loaded
         import numpy as np
-        # Overflow and NaN in the array arithmetic of sweep and profiles are
-        # caught where they would be written (the writer raises
+        # Overflow and NaN in the array arithmetic of a long sweep or profile
+        # are caught where they would be written (the writer raises
         # NumericFailure), so numpy's warnings would only repeat them.
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "sweep":
-                return cmd_sweep(cfg)
-            return cmd_profiles(cfg)
+            return command(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

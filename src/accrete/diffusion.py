@@ -40,6 +40,15 @@ class TransportParams:
             raise ValueError("rhoR must be positive")
 
 
+def _selectors(r):
+    """r with its (where, any): Python's for a float r, so that numpy is not
+    imported; numpy's for anything else, taken as a float64 array."""
+    if isinstance(r, float):
+        return r, (lambda x, a, b: a if x else b), bool
+    import numpy as np
+    return np.asarray(r, dtype=float), np.where, np.any
+
+
 def flux(
     r,
     V0: float,
@@ -68,20 +77,19 @@ def flux(
     side : str, optional
         One-sided limit selector at r = r1; ignored elsewhere.
     """
-    import numpy as np
-    r = np.asarray(r, dtype=float)
-    if np.any(r < r0):
+    r, where, any_ = _selectors(r)
+    if any_(r < r0):
         raise ValueError("r < r0: no flux defined inside the bead")
     at_r1 = r == r1
-    if at_r1.any() and side not in ("below", "above"):
+    if any_(at_r1) and side not in ("below", "above"):
         raise ValueError('flux jumps at r1; pass side="below" or side="above"')
     inside = (r < r1) | (at_r1 & (side == "below"))
     q = r0 / r
-    value = np.where(inside, -rhoR * V0, -rhoR * (V0 + V1)) * (q * q)
+    value = where(inside, -rhoR * V0, -rhoR * (V0 + V1)) * (q * q)
     # A treadmilling state has V0 + V1 = 0 exactly, which gives -0.0
     # outside; adding 0.0 turns -0.0 into 0.0 and changes nothing else.
     value += 0.0
-    return float(value) if value.ndim == 0 else value
+    return value if getattr(value, "ndim", 0) else float(value)
 
 
 @dataclass(frozen=True)
@@ -125,10 +133,9 @@ def chemical_potential(r, profiles: SteadyProfiles):
     coincides with the inner limit.  A float r gives a float, an array an
     array.
     """
-    import numpy as np
     t = profiles.transport
-    r = np.asarray(r, dtype=float)
-    if np.any(r < profiles.r0):
+    r, where, any_ = _selectors(r)
+    if any_(r < profiles.r0):
         raise ValueError("r < r0: no potential defined inside the bead")
     inner = profiles.mu0 + (t.rhoR * profiles.r0 * profiles.V0 / t.M_inner) * (
         1.0 - profiles.r0 / r
@@ -136,8 +143,8 @@ def chemical_potential(r, profiles: SteadyProfiles):
     outer = t.mu_inf - (t.rhoR * (profiles.V0 + profiles.V1) / t.M_outer) * (
         profiles.r0 / r * profiles.r0
     )
-    value = np.where(r < profiles.r1, inner, outer)
-    return float(value) if value.ndim == 0 else value
+    value = where(r < profiles.r1, inner, outer)
+    return value if getattr(value, "ndim", 0) else float(value)
 
 
 def interface_residuals(state, params: TransportParams, r0: float) -> tuple[float, float]:

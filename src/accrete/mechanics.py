@@ -52,7 +52,8 @@ class ShellGeometry:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Fields sampled at the radii r, one float64 array per field.
+    """Fields sampled at the radii r, one float64 array per field (one
+    float per field at a single radius).
 
     Mechanical fields are always populated; the velocity v needs an
     accretion speed and the transport fields (h, mu) need the chemistry,
@@ -118,19 +119,21 @@ def velocity(r: float, V0: float, r0: float) -> float:
     return V0 * _lam_r(r, r0)
 
 
-def _sigma(lam, lam1, energy: ReducedEnergy) -> tuple[np.ndarray, np.ndarray]:
-    """Radial and hoop Cauchy stress at the stretches lam of a shell whose
-    outer surface is at stretch lam1.
+def _sigma(lam, lam1, energy: ReducedEnergy) -> tuple:
+    """Radial and hoop Cauchy stress at the stretches lam, a float or an
+    array, of a shell whose outer surface is at stretch lam1.
 
     sigma_r = w(lam) - w(lam1) and sigma_theta = sigma_r + (1/2) lam dw(lam).
-    w is evaluated once, on lam with lam1 appended, so wherever lam == lam1
+    An array calls w once, on lam with lam1 appended.  Wherever lam == lam1
     sigma_r is w(lam1) - w(lam1) = 0 exactly.
     """
-    import numpy as np
-    lam = np.append(lam, lam1)
-    w = energy.w(lam)
-    lam = lam[:-1]
-    sig_r = w[:-1] - w[-1]
+    if isinstance(lam, float):
+        w, w1 = energy.w(lam), energy.w(lam1)
+    else:
+        import numpy as np
+        w = energy.w(np.append(lam, lam1))
+        w, w1 = w[:-1], w[-1]
+    sig_r = w - w1
     return sig_r, sig_r + 0.5 * lam * energy.dw(lam)
 
 
@@ -146,7 +149,7 @@ def radial_stress(r: float, geom: ShellGeometry, energy: ReducedEnergy) -> float
     -w(nu) at the bead.
     """
     _check_in_shell(r, geom)
-    return float(_sigma(r / geom.r0, geom.nu, energy)[0][0])
+    return float(_sigma(r / geom.r0, geom.nu, energy)[0])
 
 
 def hoop_stress(r: float, geom: ShellGeometry, energy: ReducedEnergy) -> float:
@@ -157,7 +160,7 @@ def hoop_stress(r: float, geom: ShellGeometry, energy: ReducedEnergy) -> float:
     surface when nu > 1.
     """
     _check_in_shell(r, geom)
-    return float(_sigma(r / geom.r0, geom.nu, energy)[1][0])
+    return float(_sigma(r / geom.r0, geom.nu, energy)[1])
 
 
 def stress_profile(
@@ -175,18 +178,16 @@ def stress_profile(
     import numpy as np
     if n < 2:
         raise ValueError("need at least 2 sample points")
-    r = np.linspace(geom.r0, geom.r1, n)
+    return _sample(np.linspace(geom.r0, geom.r1, n), geom, energy, V0)
+
+
+def _sample(r, geom: ShellGeometry, energy: ReducedEnergy, V0) -> FieldSample:
+    """The fields at r, a float or a float64 array of radii.  At the floats
+    of strain_energy._linspace they are the bits of stress_profile."""
     lam = r / geom.r0
     lam_r = _lam_r(r, geom.r0)
     sig_r, sig_t = _sigma(lam, geom.nu, energy)
-    return FieldSample(
-        r=r,
-        lam_r=lam_r,
-        lam_theta=lam,
-        sigma_r=sig_r,
-        sigma_theta=sig_t,
-        v=None if V0 is None else V0 * lam_r,
-    )
+    return FieldSample(r, lam_r, lam, sig_r, sig_t, None if V0 is None else V0 * lam_r)
 
 
 def equilibrium_residual(geom: ShellGeometry, energy: ReducedEnergy, n: int) -> float:

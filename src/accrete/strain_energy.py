@@ -71,13 +71,13 @@ class NeoHookean(ReducedEnergy):
     w is evaluated as (G/2) y**2 (2 lam**2 + 1) with
     y = (lam - 1)(lam + 1)/lam**2.  That equals the form above and keeps
     full relative precision near lam = 1, where the sum cancels; the root
-    finder's Newton iteration needs F at rounding level there.  w and dw
-    use + - * / only, no powers, so a float and a float64 array give the
-    same bits; the batch solve relies on that.  Where the sum overflows,
-    w of a float gives inf like an array does, not OverflowError.  Below
-    about lam = 2e-65, where lam**5 underflows to 0, dw of a float raises
-    ZeroDivisionError and dw of an array gives -inf; below about 4e-52
-    d2w of a float raises OverflowError from lam**-6, of an array inf.
+    finder's Newton iteration needs F at rounding level there.  w, dw and
+    d2w use + - * / only, no powers, so a float and a float64 array give
+    the same bits; the batch solve relies on that.  Where a value
+    overflows, a float gives inf like an array does, not OverflowError:
+    w where the sum overflows, d2w below about lam = 4e-52.  Below about
+    lam = 2e-65, where lam**5 underflows to 0, dw of a float raises
+    ZeroDivisionError and dw of an array gives -inf.
 
     Parameters
     ----------
@@ -107,7 +107,9 @@ class NeoHookean(ReducedEnergy):
 
     def d2w(self, lam):
         _check_positive_stretch(lam)
-        return 2.0 * (self.G * (1.0 + 5.0 * lam**-6))
+        q = 1.0 / lam
+        q2 = q * q
+        return 2.0 * (self.G * (1.0 + 5.0 * (q2 * q2 * q2)))
 
 
 def modulus_scale(energy: ReducedEnergy) -> float:
@@ -142,11 +144,20 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """numpy.linspace(a, b, n) as floats, for n >= 2: i * step + a, or
+    i / (n - 1) * (b - a) + a where the step underflows to 0, and b last."""
+    div, delta = n - 1, b - a
+    step = delta / div
+    y = (i * step + a for i in range(div)) if step else (i / div * delta + a for i in range(div))
+    return [*y, float(b)]
+
+
 def _geomspace(a: float, b: float, n: int) -> list[float]:
-    """numpy.geomspace(a, b, n) as floats; numpy's SIMD pow and log10 may differ in the last bit."""
-    la = math.log10(a)
-    step = (math.log10(b) - la) / (n - 1)
-    return [float(a), *(10.0 ** (i * step + la) for i in range(1, n - 1)), float(b)]
+    """numpy.geomspace(a, b, n) as floats, a and b exact; a point may differ
+    from numpy's in the last bit, as numpy's SIMD pow is not libm's."""
+    logs = _linspace(math.log10(a), math.log10(b), n)
+    return [float(a), *(10.0 ** y for y in logs[1:-1]), float(b)]
 
 
 def _extreme(pick, values: list[float]) -> float:

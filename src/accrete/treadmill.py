@@ -22,11 +22,12 @@ analytic dw, safeguarded by bisection; a solve typically costs three
 evaluations of w.  Everything downstream of nu is closed-form
 back-substitution.
 
-solve_eta solves a whole table of bead radii, as `accrete sweep` needs, in
-one array pass: each element goes through the same IEEE operations in the
-same order as solve at that bead radius, so every row matches solve bit for
-bit.  solve keeps its scalar root finder, which is about forty times faster
-for a single state.
+solve_eta solves a whole table of bead radii in one array pass: each
+element goes through the same IEEE operations in the same order as solve at
+that bead radius, so every row matches solve bit for bit.  solve keeps its
+scalar root finder, which is about forty times faster for a single state.
+`accrete sweep` solves a long table with solve_eta, and a short one row by
+row with solve's root finder, which gives the same bits without numpy.
 """
 
 from __future__ import annotations
@@ -259,6 +260,8 @@ def _estimate(drive: float, eta: float, k: float) -> float:
     """
     a = 1.0 + eta
     c1 = eta - a * drive
+    if c1 == -math.inf:  # a * drive overflowed: divide the cubic through by a
+        drive, c1, k = drive / a, eta / a - drive, k / a
     u = drive / c1 if c1 > 0.0 else math.inf
     if not k > 0.0:
         return u
@@ -270,6 +273,10 @@ def _estimates(drive: float, eta, k):
     import numpy as np
     a = 1.0 + eta
     c1 = eta - a * drive
+    big = c1 == -np.inf
+    if big.any():  # as in _estimate, in the rows where a * drive overflowed
+        scale = np.where(big, a, 1.0)
+        drive, c1, k = drive / scale, np.where(big, eta / a - drive, c1), k / scale
     u = np.where(c1 > 0.0, drive / c1, np.inf)
     s = np.sqrt(drive / k)
     return np.where(k > 0.0, _polish(drive, a, c1, k, np.where(s < u, s, u)), u)
@@ -306,7 +313,7 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
     """
     if wscale == 0.0:  # b1 times a speed, underflowed
         raise ValueError("energy scale b1 V of the root is out of the float range")
-    w = energy.w
+    w, inf = energy.w, math.inf  # once q = 1 + (1 + eta) u overflows, eta u / q rounds to 1.0
     a1 = 1.0 + eta
     lo, f_lo, w_lo = 0.0, drive, 0.0
     u = min(1.0, _estimate(drive, eta, 0.0))
@@ -318,7 +325,8 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
             )
         u = lam - 1.0
         wu = w(lam)
-        fu = drive - eta * u / (1.0 + a1 * u) - wu / wscale
+        q = 1.0 + a1 * u
+        fu = drive - (eta * u / q if q < inf else 1.0) - wu / wscale
         if fu <= 0.0:
             break
         lo, f_lo, w_lo = u, fu, wu
@@ -336,7 +344,7 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
         lam = 1.0 + x
         wx = w(lam)
         q = 1.0 + a1 * x
-        fx = drive - eta * x / q - wx / wscale
+        fx = drive - (eta * x / q if q < inf else 1.0) - wx / wscale
         if fx > 0.0:
             lo, f_lo, w_lo = x, fx, wx
         elif fx < 0.0:
@@ -399,7 +407,8 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
             )
         u = lam - 1.0
         wu = w(lam)
-        fu = drive - e * u / (1.0 + (1.0 + e) * u) - wu / wscale
+        q = 1.0 + (1.0 + e) * u
+        fu = drive - np.where(q < np.inf, e * u / q, 1.0) - wu / wscale
         done = fu <= 0.0
         i = idx[done]
         hi[i], f_hi[i], w_hi[i] = u[done], fu[done], wu[done]
@@ -427,7 +436,7 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
         lam = 1.0 + x
         wx = w(lam)
         q = 1.0 + (1.0 + e) * x
-        fx = drive - e * x / q - wx / wscale
+        fx = drive - np.where(q < np.inf, e * x / q, 1.0) - wx / wscale
         pos, neg = fx > 0.0, fx < 0.0
         lo, f_lo, w_lo = np.where(pos, x, lo), np.where(pos, fx, f_lo), np.where(pos, wx, w_lo)
         hi, f_hi, w_hi = np.where(neg, x, hi), np.where(neg, fx, f_hi), np.where(neg, wx, w_hi)
@@ -535,6 +544,20 @@ def solve_eta(params: ModelParams, eta) -> TreadmillState:
         drive = _drive(params, Vstar, Vstarstar)
         nu, w_nu = _find_roots(params.energy, params.b1 * Vstar, drive, eta)
         return _state(params, Vstar, Vstarstar, nu, w_nu, r0, np.full_like(nu, params.mu_inf))
+
+
+def _solve_rows(params: ModelParams, eta: list) -> list[TreadmillState]:
+    """solve_eta on a list of floats, without numpy: the same checks of
+    every row first, then solve's root finder row by row; a list of states."""
+    Vstar, Vstarstar, ellStar, _, _ = _solvable_scales(params)
+    r0 = [e * ellStar for e in eta]
+    if not all(r > 0.0 for r in r0):
+        raise ValueError("r0 must be positive")
+    if not all(math.isfinite(r / ellStar) for r in r0):
+        raise ValueError("scale eta is not finite")
+    wscale, drive = params.b1 * Vstar, _drive(params, Vstar, Vstarstar)
+    roots = [(r, *_find_root(params.energy, wscale, drive, r / ellStar)) for r in r0]
+    return [_state(params, Vstar, Vstarstar, nu, float(w), r, params.mu_inf) for r, nu, w in roots]
 
 
 def grid_scan_oracle(

@@ -20,6 +20,7 @@ from accrete.strain_energy import (
     NeoHookean,
     ValidationReport,
     _geomspace,
+    _linspace,
     modulus_scale,
     validate,
 )
@@ -196,6 +197,30 @@ def test_float_geomspace_is_numpys(a, b, n):
     got, ref = _geomspace(a, b, n), np.geomspace(a, b, n).tolist()
     assert len(got) == n and got[0] == a and got[-1] == b
     assert all(math.isclose(x, y, rel_tol=1e-14) for x, y in zip(got, ref))
+
+
+@pytest.mark.parametrize(
+    "a, b, n",
+    [
+        (1e-6, 1e6, 121), (1.0, 3.0, 5), (0.1, 10.0, 256), (2.5, 2.5, 4), (1.0, 1e308, 7),
+        (math.log10(1e-6), math.log10(1e6), 2500),
+        # a subnormal step underflows to 0: numpy scales i / (n - 1) instead
+        (5e-324, 1e-323, 100), (5e-324, 2e-323, 257), (1e308, math.inf, 4),
+    ],
+)
+def test_float_linspace_is_numpys_bit_for_bit(a, b, n):
+    with np.errstate(invalid="ignore"):
+        ref = np.linspace(a, b, n)
+    assert np.array(_linspace(a, b, n)).tobytes() == ref.tobytes()
+
+
+def test_float_linspace_is_numpys_on_draws():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        a = 10.0 ** rng.uniform(-320.0, 300.0)
+        b = a * (1.0 + 10.0 ** rng.uniform(-17.0, 8.0))
+        n = rng.randint(2, 600)
+        assert np.array(_linspace(a, b, n)).tobytes() == np.linspace(a, b, n).tobytes()
 
 
 def test_validate_matches_the_array_form_on_draws():

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from accrete import cli
-from accrete.strain_energy import NeoHookean
+from accrete.strain_energy import NeoHookean, _geomspace
 from accrete.treadmill import (
     ModelParams,
     NumericFailure,
@@ -238,12 +238,12 @@ def test_sweep_csv_matches_library(capsys):
     assert header == SWEEP_HEADER
     assert len(rows) == 7
 
-    etas = np.geomspace(1e-6, 1e6, 7)
+    etas = _geomspace(1e-6, 1e6, 7)
     base = default_params()
     ell = compute_scales(base).ellStar
     for row, eta in zip(rows, etas):
-        st = solve(default_params(r0=float(eta) * ell))
-        assert float(row["eta"]) == float(eta)
+        st = solve(default_params(r0=eta * ell))
+        assert float(row["eta"]) == eta
         assert float(row["nu"]) == st.nu
         assert float(row["V0"]) == st.V0
         assert float(row["d_over_r0"]) == st.nu - 1.0
@@ -256,6 +256,16 @@ def test_sweep_csv_matches_library(capsys):
     assert len({r["d_small_bead_est"] for r in rows}) == 1
     # Vstarstar > 0 here, so the diffusion-limited estimate is populated
     assert all(r["d_diffusion_limited_est"] != "" for r in rows)
+
+
+def test_sweep_grid_is_the_float_grid(capsys):
+    """Both paths write the eta grid of strain_energy._geomspace, which
+    differs from numpy.geomspace in the last bit on 8 of the 121 default
+    points (numpy's SIMD pow is not libm's)."""
+    _, out, _ = run(capsys, ["sweep"])
+    etas = [float(r["eta"]) for r in read_csv(out)[1]]
+    assert etas == _geomspace(1e-6, 1e6, 121)
+    assert etas[10] == 1e-5 and np.geomspace(1e-6, 1e6, 121)[10] == 9.999999999999999e-06
 
 
 def test_sweep_linear_spacing(capsys):
@@ -467,6 +477,107 @@ def test_sweep_estimates_match_library(capsys):
             d_diff = format(large_bead_asymptote(p, eta)[0], ".17g") if diffusion_limited else ""
             assert row["d_small_bead_est"] == format(nu_star - 1.0, ".17g")
             assert row["d_diffusion_limited_est"] == d_diff
+
+
+# ---------------------------------------------------------------------------
+# float and array paths
+
+
+def run_on(capsys, monkeypatch, path, argv):
+    """run(argv) with sweep and profiles forced onto floats or onto arrays."""
+    monkeypatch.setattr(cli, "_ARRAY_ROWS", {"floats": 10**9, "arrays": 0}[path])
+    return run(capsys, argv)
+
+
+@pytest.mark.parametrize("size", ["2", "121", "256", "257", "600"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep"],
+        ["sweep", "--format", "json"],
+        ["sweep", "--linear", "--eta-min", "0.5", "--eta-max", "3e4"],
+        ["sweep", "--linear", "--format", "json"],
+        ["sweep", "--set", "chem.mu_inf=5.53125"],  # Vstarstar < 0: no diffusion-limited estimate
+        ["profiles"],
+        ["profiles", "--format", "json"],
+        ["profiles", "--set", "chem.mu_inf=1.500000000001", "--set", "geom.r0=1e6"],  # thin shell
+        ["profiles", "--r1", "2.5"],
+        ["profiles", "--r1", "2.5", "--v0", "0.5", "--format", "json"],
+    ],
+)
+def test_float_and_array_paths_write_the_same_bytes(capsys, monkeypatch, argv, size):
+    argv = argv + ["--points" if argv[0] == "sweep" else "--grid-n", size]
+    floats = run_on(capsys, monkeypatch, "floats", argv)
+    assert floats[0] == 0 and floats[1]
+    assert run_on(capsys, monkeypatch, "arrays", argv) == floats
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--eta-min", "1e-300", "--eta-max", "1e300"],
+        ["sweep", "--set", "energy.G=1e308"],
+        ["profiles", "--set", "energy.G=1e308"],
+        ["sweep", "--set", "kinetics.b1=1e-300"],
+        ["profiles", "--set", "kinetics.b1=1e-300", "--format", "json"],
+        ["sweep", "--set", "chem.muR1=-1"],  # no treadmilling state
+        ["profiles", "--set", "chem.muR1=-1"],
+        ["profiles", "--grid-n", "1"],
+        ["sweep", "--points", "1"],
+        ["sweep", "--eta-min", "1e-320", "--set", "chem.rhoR=1e3"],  # r0 underflows to 0
+        ["sweep", "--eta-min", "1e-320"],  # the diffusion-limited estimate overflows
+        # r0 = 1e308 ellStar overflows in the last row, and the drive
+        # underflows: both paths check every row before the drive
+        ["sweep", "--eta-max", "1e308", "--set", "kinetics.b1=1e-300",
+         "--set", "chem.muR1=1e-200", "--set", "chem.mu_inf=3.0", "--set", "transport.M_inner=2"],
+        ["profiles", "--r1", "1e160"],
+        ["profiles", "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=30"],  # r1 overflows
+        # V0 rounds to 0.0: v / V0 raises for a float and is NaN in an array
+        ["profiles", "--set", "chem.mu_inf=54.43065135504882", "--set", "geom.r0=5.2257083107433845e+23"],
+    ],
+)
+def test_float_and_array_paths_give_the_same_exit_and_stderr(capsys, monkeypatch, argv):
+    floats = run_on(capsys, monkeypatch, "floats", argv)
+    assert run_on(capsys, monkeypatch, "arrays", argv) == floats
+
+
+@pytest.mark.parametrize(
+    "argv, traced",
+    [
+        (["sweep", "--points", "256"], None),
+        (["sweep", "--points", "257"], "solve_eta"),
+        (["profiles", "--grid-n", "256"], None),
+        (["profiles", "--grid-n", "257"], "stress_profile"),
+        (["profiles", "--r1", "2", "--grid-n", "257"], "stress_profile"),
+    ],
+)
+def test_row_count_picks_the_path(capsys, monkeypatch, argv, traced):
+    calls = []
+    for owner, name in ((cli.treadmill, "solve_eta"), (cli.mechanics, "stress_profile")):
+        def spy(*args, _f=getattr(owner, name), _name=name, **kw):
+            calls.append(_name)
+            return _f(*args, **kw)
+        monkeypatch.setattr(owner, name, spy)
+    assert run(capsys, argv)[0] == 0
+    assert calls == ([] if traced is None else [traced])
+
+
+def test_huge_eta_with_a_large_drive_solves(capsys):
+    """eta = 5e307 and the drive 19: (1 + eta) drive overflows, yet the state
+    exists and is the large-bead limit nu2."""
+    argv = ["solve", "--format", "json", "--set", "transport.M_inner=1e-307",
+            "--set", "geom.r0=10", "--set", "chem.mu_inf=30"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["scales"]["eta"] == 5e307
+    nu2 = 1.0 + large_bead_asymptote(default_params(mu_inf=30.0), 1.0)[0]
+    assert doc["state"]["nu"] == pytest.approx(nu2, rel=1e-14)
+    # At r0 = 1.7e308 the same state solves too; only r1 = nu r0 overflows.
+    st = solve(default_params(r0=1.7e308, mu_inf=30.0))
+    assert st.nu == pytest.approx(nu2, rel=1e-14) and st.r1 == math.inf
+    code, out, err = run(capsys, ["solve", "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=30"])
+    assert (code, out, err) == (4, "", "numeric failure: non-finite value in the output\n")
 
 
 # ---------------------------------------------------------------------------

@@ -351,10 +351,13 @@ def run_cold(child_env, tmp_path, argv):
     [
         (["solve"], False),
         (["solve", "--format", "json"], False),
-        (["sweep"], True),
-        (["profiles", "--format", "json"], True),
+        (["sweep"], False),
+        (["profiles", "--format", "json"], False),
         (["validate"], False),
         (["validate", "--format", "json"], False),
+        # above cli._ARRAY_ROWS rows, sweep and profiles work on arrays
+        (["sweep", "--points", "2500"], True),
+        (["profiles", "--grid-n", "10000"], True),
     ],
 )
 def test_only_the_array_commands_load_numpy(child_env, tmp_path, argv, loads_numpy):

@@ -5,6 +5,8 @@ w(lam) = (G/2)(lam**-4 + 2 lam**2 - 3); they are dyadic rationals, so the
 comparisons can be exact.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -143,7 +145,9 @@ def test_derivatives_keep_the_bits_of_the_doubled_modulus_form():
         return 2.0 * G * (lam - 1.0 / (l2 * l2 * lam))
 
     def old_d2w(G, lam):
-        return 2.0 * G * (1.0 + 5.0 * lam**-6)
+        q = 1.0 / lam  # lam**-6 as d2w writes it, without a power
+        q2 = q * q
+        return 2.0 * G * (1.0 + 5.0 * (q2 * q2 * q2))
 
     for g, x in zip(G.tolist(), lam.tolist()):
         e = NeoHookean(g)
@@ -152,6 +156,24 @@ def test_derivatives_keep_the_bits_of_the_doubled_modulus_form():
         e = NeoHookean(g)
         assert e.dw(lam).tobytes() == old_dw(g, lam).tobytes()
         assert e.d2w(lam).tobytes() == old_d2w(g, lam).tobytes()
+
+
+def test_d2w_is_lam_to_the_minus_six_within_a_few_ulp():
+    rng = np.random.default_rng(20261019)
+    lam = np.exp(rng.uniform(np.log(1e-40), np.log(1e40), 5000))
+    e = NeoHookean(1.0)
+    assert np.all(np.abs(e.d2w(lam) / (2.0 * (1.0 + 5.0 * lam**-6)) - 1.0) <= 8 * 2.0**-52)
+
+
+def test_d2w_of_a_tiny_float_is_inf_as_in_an_array():
+    """Below lam = 4e-52 lam**-6 overflows; a float gives inf, not OverflowError."""
+    e = NeoHookean(1.0)
+    tiny = [1e-60, 4e-52, 1e-300, 5e-324]
+    with np.errstate(over="ignore"):
+        assert e.d2w(np.array(tiny)).tolist() == [e.d2w(x) for x in tiny] == [math.inf] * 4
+    report = validate(e, 1e-60, 10.0, 100)
+    assert {c.name: c.passed for c in report.checks}["second-derivative-consistency"] is False
+    assert report.checks[-1].detail == "max relative deviation nan"
 
 
 def test_dw_does_not_overflow_before_the_true_value_does():

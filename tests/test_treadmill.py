@@ -338,6 +338,26 @@ def test_solve_eta_matches_solve_bit_for_bit(kw, etas):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_solve_eta_where_one_plus_eta_times_the_drive_overflows():
+    """With the drive 19 of mu_inf = 30, (1 + eta) drive passes the float
+    range near eta = 1e307, and so does (1 + eta) u once u > 2.  The model
+    equation is then divided through by 1 + eta, and F takes its eta term as
+    the 1.0 it rounds to.  The state is the large-bead limit nu2, and
+    solve_eta still matches solve bit for bit."""
+    p = make_params(mu_inf=30.0)
+    ell = compute_scales(p).ellStar
+    etas = np.array([0.5, 1e300, 1e307, 5e307, 8.5e307])
+    table = solve_eta(p, etas)
+    names = [f.name for f in dataclasses.fields(table)]
+    got = np.column_stack([getattr(table, name) for name in names])
+    want = np.array(
+        [dataclasses.astuple(solve(dataclasses.replace(p, r0=eta * ell))) for eta in etas.tolist()]
+    )
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    nu2 = 1.0 + large_bead_asymptote(p, 1.0)[0]
+    assert table.nu[1:].tolist() == pytest.approx([nu2] * 4, rel=1e-14)
+
+
 def test_solve_eta_rejects_rows_out_of_float_range():
     p = make_params(rhoR=1e3)  # ellStar = 2e-6
     with pytest.raises(ValueError, match="r0 must be positive"):
