@@ -385,24 +385,22 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
         profiles = diffusion.SteadyProfiles(V0=state.V0, V1=state.V1, mu0=state.mu0, r0=cfg.r0,
                                             r1=state.r1, transport=cfg.transport)
     geom = mechanics.ShellGeometry(cfg.r0, cfg.r1 if state is None else state.r1)
-    V0 = cfg.v0 if state is None else state.V0
 
     def cells(f):  # at one radius (floats) or at every radius (arrays)
         cols = [f.r, f.sigma_r / gscale, f.sigma_theta / gscale, f.lam_r, f.lam_theta]
-        if V0 is not None:  # a float divided by 0.0 raises; in an array it is NaN
-            cols.append(f.v / V0 if V0 else f.v * math.nan)
         if state is not None:
             cols += [f.r == state.r1, profiles.h(f.r, side="below"), profiles.mu(f.r)]
         return cols
 
     if cfg.grid_n > _ARRAY_ROWS:
         import numpy as np
-        cols, append = cells(mechanics.stress_profile(geom, energy, cfg.grid_n, V0=V0)), np.append
+        cols, append = cells(mechanics.stress_profile(geom, energy, cfg.grid_n)), np.append
     else:  # the same cells, one radius at a time
         radii = strain_energy._linspace(geom.r0, geom.r1, cfg.grid_n)
-        cols = [[*x] for x in zip(*(cells(mechanics._sample(r, geom, energy, V0)) for r in radii))]
+        cols = [[*x] for x in zip(*(cells(mechanics._sample(r, geom, energy, None)) for r in radii))]
         append = list.__add__
-    v = [] if V0 is None else cols[5]
+    # v/V0 = (r0/r)**2 in closed form, defined also where the solved V0 rounds to 0
+    v = [] if state is None and cfg.v0 is None else cols[3]
     if state is None:
         # Mechanics-only mode: geometry given directly, no chemistry attached,
         # so side, h and mu are empty.

@@ -75,9 +75,8 @@ class NeoHookean(ReducedEnergy):
     d2w use + - * / only, no powers, so a float and a float64 array give
     the same bits; the batch solve relies on that.  Where a value
     overflows, a float gives inf like an array does, not OverflowError:
-    w where the sum overflows, d2w below about lam = 4e-52.  Below about
-    lam = 2e-65, where lam**5 underflows to 0, dw of a float raises
-    ZeroDivisionError and dw of an array gives -inf.
+    w where the sum overflows, d2w below about lam = 4e-52, and dw gives
+    -inf below about lam = 2e-65, where lam**5 underflows to 0.
 
     Parameters
     ----------
@@ -103,7 +102,10 @@ class NeoHookean(ReducedEnergy):
         if not (isinstance(lam, float) and lam > 0.0):
             _check_positive_stretch(lam)
         l2 = lam * lam
-        return 2.0 * (self.G * (lam - 1.0 / (l2 * l2 * lam)))
+        try:
+            return 2.0 * (self.G * (lam - 1.0 / (l2 * l2 * lam)))
+        except ZeroDivisionError:  # a float lam**5 underflowed to 0
+            return -math.inf
 
     def d2w(self, lam):
         _check_positive_stretch(lam)

@@ -133,13 +133,15 @@ class Scales:
     eta: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class TreadmillState:
     """The full steady solution.
 
     V1 = -V0 and mu1 = mu_inf hold in every treadmilling state; f0 and f1
     are the driving forces b0 V0 and b1 V1.  solve gives floats; solve_eta
     gives one state whose fields are float64 arrays, one element per eta.
+    A plain dataclass, mutable and unhashable: building a frozen one took
+    about a fifth of a solve.
     """
 
     nu: float
@@ -284,8 +286,9 @@ def _estimates(drive: float, eta, k):
 
 def _polish(drive, a, c1, k, u):
     """Four Newton steps on k a u**3 + k u**2 + c1 u - drive from u."""
+    ka, k3a, k2 = k * a, 3.0 * k * a, 2.0 * k  # same bits: k * a * u is (k * a) * u
     for _ in range(4):
-        u = u - (((k * a * u + k) * u + c1) * u - drive) / ((3.0 * k * a * u + 2.0 * k) * u + c1)
+        u = u - (((ka * u + k) * u + c1) * u - drive) / ((k3a * u + k2) * u + c1)
     return u
 
 

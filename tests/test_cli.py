@@ -454,6 +454,20 @@ def test_nonfinite_output_writes_no_file(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("grid_n", ["101", "1000"], ids=["floats", "arrays"])
+def test_profiles_where_the_solved_speed_rounds_to_zero(capsys, grid_n):
+    """Here V0 = Vstarstar + w(nu)/b1 rounds to exactly 0.0; v_over_V0 is
+    (r0/r)**2 in closed form, so it stays defined."""
+    argv = ["profiles", "--set", "chem.mu_inf=54.43065135504882",
+            "--set", "geom.r0=5.2257083107433845e+23", "--grid-n", grid_n]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    _, rows = read_csv(out)
+    assert solve(default_params(mu_inf=54.43065135504882, r0=5.2257083107433845e23)).V0 == 0.0
+    assert all(row["v_over_V0"] == row["lam_r"] for row in rows[:-1])
+    assert rows[0]["v_over_V0"] == "1"
+
+
 def test_zero_speed_is_input_error(capsys):
     # v_over_V0 = v/V0 has no value when V0 = 0
     code, out, err = run(capsys, ["profiles", "--r1", "2.0", "--v0", "0"])
@@ -606,7 +620,7 @@ def test_profiles_solved_mode(capsys):
     assert float(rows[-2]["mu"]) == float(rows[-1]["mu"]) == 2.5
 
     for row in rows[:-1]:
-        assert float(row["v_over_V0"]) == pytest.approx(float(row["lam_r"]), rel=1e-14)
+        assert row["v_over_V0"] == row["lam_r"]
     mus = [float(r["mu"]) for r in rows]
     assert all(b >= a for a, b in zip(mus, mus[1:]))
 
@@ -639,7 +653,7 @@ def test_profiles_override_mode_with_speed(capsys):
     assert code == 0
     _, rows = read_csv(out)
     for row in rows:
-        assert float(row["v_over_V0"]) == pytest.approx(float(row["lam_r"]), rel=1e-14)
+        assert row["v_over_V0"] == row["lam_r"]
 
 
 def test_profiles_json_state(capsys):

@@ -176,6 +176,19 @@ def test_d2w_of_a_tiny_float_is_inf_as_in_an_array():
     assert report.checks[-1].detail == "max relative deviation nan"
 
 
+def test_dw_of_a_tiny_float_is_minus_inf_as_in_an_array():
+    """Below lam = 2e-65 lam**5 underflows to 0; a float gives -inf, not
+    ZeroDivisionError, and above it a float keeps the bits of an array."""
+    e = NeoHookean(1.0)
+    tiny = [1e-70, 2e-65, 1e-300, 5e-324]
+    near = np.geomspace(1e-66, 1e-60, 200)
+    with np.errstate(divide="ignore", over="ignore"):
+        assert e.dw(np.array(tiny)).tolist() == [e.dw(x) for x in tiny] == [-math.inf] * 4
+        assert e.dw(near).tolist() == [e.dw(x) for x in near.tolist()]
+    report = validate(e, 1e-70, 10.0, 100)
+    assert {c.name: c.passed for c in report.checks}["first-derivative-consistency"] is False
+
+
 def test_dw_does_not_overflow_before_the_true_value_does():
     # 2 G overflows at G = 1e308, but G (lam - lam**-5) does not
     e = NeoHookean(1e308)

@@ -8,7 +8,9 @@ limiting ratio at exactly 2.
 
 import ast
 import dataclasses
+import hashlib
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +275,44 @@ def test_solve_regression_pin():
     assert st.nu == pytest.approx(1.4786636917559184, rel=1e-12)
     assert st.V0 == pytest.approx(1.2910368444196476, rel=1e-12)
     assert st.mu0 == pytest.approx(2.0820736888392952, rel=1e-12)
+
+
+def test_solve_golden_bits():
+    """Every bit of 500 solves, pinned by one digest.
+
+    The draw is log-uniform in G, b0, b1, the drive mu_inf - muStar
+    (1e-12..10) and eta (1e-6..1e6); with muR1 = 3 it holds both signs of
+    Vstarstar, and every 25th draw puts mu_inf below muStar, where solve
+    raises.  A state enters as float.hex of each field, an error as its type
+    and reason.  A change to the solver that moves any bit must change the
+    digest on purpose.
+    """
+    rng = random.Random(20261018)
+    lines = []
+    for i in range(500):
+        G, b0, b1 = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3))
+        drive = 10.0 ** rng.uniform(-12.0, 1.0)
+        eta = 10.0 ** rng.uniform(-6.0, 6.0)
+        mu_star = 3.0 * b0 / (b0 + b1)
+        p = ModelParams(
+            energy=NeoHookean(G), b0=b0, b1=b1, muR0=0.0, muR1=3.0,
+            mu_inf=mu_star + (drive if i % 25 else -drive), rhoR=1.0, M=1.0, r0=eta * (b0 + b1),
+        )
+        try:
+            lines.append(" ".join(map(float.hex, dataclasses.astuple(solve(p)))))
+        except Exception as e:
+            lines.append(f"{type(e).__name__}: {e}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "cdb0db0ee9d50ad3426ff6d721bcca72508734022dc7b185e3d58e8b073fe7a6"
+
+
+def test_treadmill_state_is_a_plain_dataclass():
+    """The state is mutable and unhashable; == and replace work as before."""
+    st = solve(make_params())
+    assert st.__hash__ is None
+    assert dataclasses.replace(st) == st
+    st.nu = 2.0
+    assert st.nu == 2.0 and st != solve(make_params())
 
 
 def test_solve_satisfies_scalar_equation():
