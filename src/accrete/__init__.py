@@ -23,7 +23,6 @@ from .mechanics import (
 )
 from .diffusion import (
     SteadyProfiles,
-    TransportParams,
     chemical_potential,
     flux,
     interface_residuals,
@@ -62,7 +61,6 @@ __all__ = [
     "stress_profile",
     "equilibrium_residual",
     "outer_radius_rate",
-    "TransportParams",
     "SteadyProfiles",
     "flux",
     "chemical_potential",

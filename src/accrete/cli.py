@@ -81,6 +81,9 @@ PROFILE_FIELDS = (
 # Up to this many rows, a sweep or profile runs on floats, row by row, and
 # never imports numpy (about 55 ms of a cold run); a longer one runs on
 # float64 arrays.  Both evaluate the same formulas and give the same bits.
+# The array branches ignore numpy's overflow and invalid warnings: an inf
+# or a NaN is caught where it would be written (the writer raises
+# NumericFailure), so a warning would only repeat it.
 _ARRAY_ROWS = 256
 
 
@@ -99,8 +102,9 @@ class RunConfig:
 
     The fields that carry a config key are the only definition of the keys
     and their defaults, in the order of the JSON params block.  Building a
-    RunConfig builds the energy, the ModelParams, the TransportParams and
-    the Scales, so every command rejects a bad value in the same way.
+    RunConfig builds the energy, the ModelParams and the Scales, and checks
+    M_outer, which only profiles reads, so every command rejects a bad value
+    in the same way.
     """
 
     energy_kind: str = _key("energy.kind", "neo-hookean")
@@ -124,7 +128,6 @@ class RunConfig:
     r1: float | None = None
     v0: float | None = None
     params: treadmill.ModelParams = field(init=False, repr=False, compare=False)
-    transport: diffusion.TransportParams = field(init=False, repr=False, compare=False)
     scales: treadmill.Scales = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,14 +149,9 @@ class RunConfig:
             M=self.M_inner,
             r0=self.r0,
         )
-        transport = diffusion.TransportParams(
-            M_inner=self.M_inner,
-            M_outer=self.M_outer,
-            rhoR=self.rhoR,
-            mu_inf=self.mu_inf,
-        )
+        if not self.M_outer > 0.0:
+            raise ValueError("M_outer must be positive")
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "transport", transport)
         object.__setattr__(self, "scales", treadmill.compute_scales(params))
 
 
@@ -344,7 +342,8 @@ def _sweep_rows(cfg: RunConfig) -> list:
     # or row by row with the same checks and errors.
     if cfg.points > _ARRAY_ROWS:
         import numpy as np
-        columns = cells(treadmill.solve_eta(cfg.params, np.array(etas)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = cells(treadmill.solve_eta(cfg.params, np.array(etas)))
     else:
         columns = [[*c] for c in zip(*map(cells, treadmill._solve_rows(cfg.params, etas)))]
     # Vstar and Vstarstar do not depend on r0, so the diffusion-limited
@@ -376,14 +375,14 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"--{name} must be finite")
     if cfg.v0 == 0.0:
-        raise ConfigError("--v0 must be nonzero; v_over_V0 divides by it")
+        raise ConfigError("--v0 must be nonzero: v/V0 has no value at V0 = 0")
     energy = cfg.params.energy
     gscale = strain_energy.modulus_scale(energy)
     state = None
     if cfg.r1 is None:
         state = treadmill.solve(cfg.params)
-        profiles = diffusion.SteadyProfiles(V0=state.V0, V1=state.V1, mu0=state.mu0, r0=cfg.r0,
-                                            r1=state.r1, transport=cfg.transport)
+        profiles = diffusion.SteadyProfiles(state.V0, state.V1, state.mu0, cfg.r0, state.r1,
+                                            cfg.M_inner, cfg.M_outer, cfg.rhoR, cfg.mu_inf)
     geom = mechanics.ShellGeometry(cfg.r0, cfg.r1 if state is None else state.r1)
 
     def cells(f):  # at one radius (floats) or at every radius (arrays)
@@ -394,7 +393,9 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
 
     if cfg.grid_n > _ARRAY_ROWS:
         import numpy as np
-        cols, append = cells(mechanics.stress_profile(geom, energy, cfg.grid_n)), np.append
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = cells(mechanics.stress_profile(geom, energy, cfg.grid_n))
+        append = np.append
     else:  # the same cells, one radius at a time
         radii = strain_energy._linspace(geom.r0, geom.r1, cfg.grid_n)
         cols = [[*x] for x in zip(*(cells(mechanics._sample(r, geom, energy, None)) for r in radii))]
@@ -547,14 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         command = {"solve": cmd_solve, "sweep": cmd_sweep, "profiles": cmd_profiles,
                    "validate": cmd_validate}[args.command]
-        if {"sweep": cfg.points, "profiles": cfg.grid_n}.get(args.command, 0) <= _ARRAY_ROWS:
-            return command(cfg)  # on floats; numpy is not loaded
-        import numpy as np
-        # Overflow and NaN in the array arithmetic of a long sweep or profile
-        # are caught where they would be written (the writer raises
-        # NumericFailure), so numpy's warnings would only repeat them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return command(cfg)
+        return command(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

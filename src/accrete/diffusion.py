@@ -13,31 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "TransportParams",
     "SteadyProfiles",
     "flux",
     "chemical_potential",
     "interface_residuals",
 ]
-
-
-@dataclass(frozen=True)
-class TransportParams:
-    """Transport constants: mobilities inside/outside the solid, referential
-    density, and the remote chemical potential."""
-
-    M_inner: float
-    M_outer: float
-    rhoR: float
-    mu_inf: float
-
-    def __post_init__(self):
-        if not self.M_inner > 0.0:
-            raise ValueError("M_inner must be positive")
-        if not self.M_outer > 0.0:
-            raise ValueError("M_outer must be positive")
-        if not self.rhoR > 0.0:
-            raise ValueError("rhoR must be positive")
 
 
 def _selectors(r):
@@ -97,8 +77,10 @@ class SteadyProfiles:
     """Closed-form steady flux and chemical-potential profiles.
 
     Parameterized by the interface speeds, the inner-surface potential mu0,
-    the geometry, and the transport constants.  mu is continuous at r1 for
-    any consistent state; h jumps there by -(r0/r1)**2 rhoR V1.
+    the geometry, and the transport constants: the mobilities inside and
+    outside the solid, the referential density and the remote chemical
+    potential.  mu is continuous at r1 for any consistent state; h jumps
+    there by -(r0/r1)**2 rhoR V1.
     """
 
     V0: float
@@ -106,17 +88,21 @@ class SteadyProfiles:
     mu0: float
     r0: float
     r1: float
-    transport: TransportParams
+    M_inner: float
+    M_outer: float
+    rhoR: float
+    mu_inf: float
 
     def __post_init__(self):
-        if not self.r0 > 0.0:
-            raise ValueError("r0 must be positive")
+        for name in ("r0", "M_inner", "M_outer", "rhoR"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.r1 < self.r0:
             raise ValueError("r1 must not be below r0")
 
     def h(self, r, side: str | None = None):
         """Flux at r, a float or an array; see :func:`flux`."""
-        return flux(r, self.V0, self.V1, self.r0, self.r1, self.transport.rhoR, side)
+        return flux(r, self.V0, self.V1, self.r0, self.r1, self.rhoR, side)
 
     def mu(self, r):
         """Chemical potential at r, a float or an array; see :func:`chemical_potential`."""
@@ -133,36 +119,29 @@ def chemical_potential(r, profiles: SteadyProfiles):
     coincides with the inner limit.  A float r gives a float, an array an
     array.
     """
-    t = profiles.transport
+    p = profiles
     r, where, any_ = _selectors(r)
-    if any_(r < profiles.r0):
+    if any_(r < p.r0):
         raise ValueError("r < r0: no potential defined inside the bead")
-    inner = profiles.mu0 + (t.rhoR * profiles.r0 * profiles.V0 / t.M_inner) * (
-        1.0 - profiles.r0 / r
-    )
-    outer = t.mu_inf - (t.rhoR * (profiles.V0 + profiles.V1) / t.M_outer) * (
-        profiles.r0 / r * profiles.r0
-    )
-    value = where(r < profiles.r1, inner, outer)
+    inner = p.mu0 + (p.rhoR * p.r0 * p.V0 / p.M_inner) * (1.0 - p.r0 / r)
+    outer = p.mu_inf - (p.rhoR * (p.V0 + p.V1) / p.M_outer) * (p.r0 / r * p.r0)
+    value = where(r < p.r1, inner, outer)
     return value if getattr(value, "ndim", 0) else float(value)
 
 
-def interface_residuals(state, params: TransportParams, r0: float) -> tuple[float, float]:
+def interface_residuals(state, profiles: SteadyProfiles) -> tuple[float, float]:
     """Mass-balance residuals linking interface speeds to the potentials.
 
     res0 = rhoR V0 - M_inner (mu1 - mu0)/(r1 - r0) * (r1/r0)
     res1 = rhoR (V0 + V1) - M_outer (mu_inf - mu1) * r1/r0**2
 
     Both vanish for any consistent steady state.  ``state`` needs attributes
-    V0, V1, mu0, mu1 and r1 (a solved treadmilling state qualifies).
+    V0, V1, mu0, mu1 and r1 (a solved treadmilling state qualifies); r0 and
+    the transport constants are those of ``profiles``.
     """
-    r1 = state.r1
+    p, r0, r1 = profiles, profiles.r0, state.r1
     if r1 <= r0:
         raise ValueError("interface residuals need r1 > r0")
-    res0 = params.rhoR * state.V0 - params.M_inner * (state.mu1 - state.mu0) / (
-        r1 - r0
-    ) * (r1 / r0)
-    res1 = params.rhoR * (state.V0 + state.V1) - params.M_outer * (
-        params.mu_inf - state.mu1
-    ) * r1 / r0 / r0
+    res0 = p.rhoR * state.V0 - p.M_inner * (state.mu1 - state.mu0) / (r1 - r0) * (r1 / r0)
+    res1 = p.rhoR * (state.V0 + state.V1) - p.M_outer * (p.mu_inf - state.mu1) * r1 / r0 / r0
     return res0, res1

@@ -52,12 +52,12 @@ class ShellGeometry:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Fields sampled at the radii r, one float64 array per field (one
-    float per field at a single radius).
+    """Mechanical fields sampled at the radii r, one float64 array per
+    field (one float per field at a single radius).
 
-    Mechanical fields are always populated; the velocity v needs an
-    accretion speed and the transport fields (h, mu) need the chemistry,
-    so those default to None until a caller supplies them.
+    The velocity v needs an accretion speed, so it is None unless one is
+    given.  The transport fields of a solved state come from
+    diffusion.SteadyProfiles.
     """
 
     r: np.ndarray
@@ -66,8 +66,6 @@ class FieldSample:
     sigma_r: np.ndarray
     sigma_theta: np.ndarray
     v: np.ndarray | None = None
-    h: np.ndarray | None = None
-    mu: np.ndarray | None = None
 
 
 def radius_of_particle(Z: float, Z0: float, r0: float) -> float:
@@ -112,11 +110,7 @@ def velocity(r: float, V0: float, r0: float) -> float:
     V0 is the accretion speed at the inner surface; incompressibility makes
     r**2 v constant through the shell.
     """
-    if not r0 > 0.0:
-        raise ValueError("r0 must be positive")
-    if r < r0:
-        raise ValueError("r < r0: point is inside the bead")
-    return V0 * _lam_r(r, r0)
+    return V0 * stretches(r, r0)[0]
 
 
 def _sigma(lam, lam1, energy: ReducedEnergy) -> tuple:
@@ -172,8 +166,7 @@ def stress_profile(
     """Sample the shell uniformly in r with n points.
 
     Every field is a float64 array of length n; r[-1] is r1 exactly, so
-    sigma_r[-1] is 0.  Velocity is filled only when V0 is given; transport
-    fields stay None.
+    sigma_r[-1] is 0.  Velocity is filled only when V0 is given.
     """
     import numpy as np
     if n < 2:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from accrete import cli
-from accrete.diffusion import TransportParams, flux, interface_residuals
+from accrete.diffusion import SteadyProfiles, flux, interface_residuals
 from accrete.mechanics import ShellGeometry, equilibrium_residual, radial_stress
 from accrete.strain_energy import NeoHookean
 from accrete.treadmill import (
@@ -345,8 +345,8 @@ def test_c08_back_substituted_residuals():
         for r in relative_residuals(p, st):
             assert r <= 1e-10, p
 
-        tp = TransportParams(M_inner=p.M, M_outer=p.M, rhoR=p.rhoR, mu_inf=p.mu_inf)
-        res0, res1 = interface_residuals(st, tp, p.r0)
+        profiles = SteadyProfiles(st.V0, st.V1, st.mu0, p.r0, st.r1, p.M, p.M, p.rhoR, p.mu_inf)
+        res0, res1 = interface_residuals(st, profiles)
         scale0 = max(
             abs(p.rhoR * st.V0),
             abs(p.M * (st.mu1 - st.mu0) / (st.r1 - p.r0) * (st.r1 / p.r0)),

@@ -13,7 +13,6 @@ import pytest
 
 from accrete.diffusion import (
     SteadyProfiles,
-    TransportParams,
     chemical_potential,
     flux,
     interface_residuals,
@@ -21,21 +20,22 @@ from accrete.diffusion import (
 
 
 def make_reference():
-    tp = TransportParams(M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=1.0)
-    return SteadyProfiles(V0=1.0, V1=-0.5, mu0=0.25, r0=1.0, r1=2.0, transport=tp)
+    return SteadyProfiles(V0=1.0, V1=-0.5, mu0=0.25, r0=1.0, r1=2.0,
+                          M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=1.0)
 
 
 def test_transport_params_validation():
-    with pytest.raises(ValueError):
-        TransportParams(M_inner=0.0, M_outer=1.0, rhoR=1.0, mu_inf=0.0)
-    with pytest.raises(ValueError):
-        TransportParams(M_inner=1.0, M_outer=1.0, rhoR=-2.0, mu_inf=0.0)
+    base = dict(V0=1.0, V1=0.0, mu0=0.0, r0=1.0, r1=2.0,
+                M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=0.0)
+    for name, value in (("M_inner", 0.0), ("rhoR", -2.0), ("M_outer", 0.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            SteadyProfiles(**{**base, name: value})
 
 
 def test_profiles_validation():
-    tp = TransportParams(1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        SteadyProfiles(V0=1.0, V1=0.0, mu0=0.0, r0=2.0, r1=1.0, transport=tp)
+        SteadyProfiles(V0=1.0, V1=0.0, mu0=0.0, r0=2.0, r1=1.0,
+                       M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=0.0)
 
 
 def test_flux_frozen_values():
@@ -112,35 +112,32 @@ def test_flux_is_fickian():
 
 
 def test_interface_residuals_vanish_for_consistent_state():
-    tp = TransportParams(1.0, 1.0, 1.0, 1.0)
     state = types.SimpleNamespace(V0=1.0, V1=-0.5, mu0=0.25, mu1=0.75, r1=2.0)
-    res0, res1 = interface_residuals(state, tp, 1.0)
+    res0, res1 = interface_residuals(state, make_reference())
     assert res0 == 0.0
     assert res1 == 0.0
 
 
 def test_interface_residuals_linear_in_mu0():
-    tp = TransportParams(1.0, 1.0, 1.0, 1.0)
     base = types.SimpleNamespace(V0=1.0, V1=-0.5, mu0=0.25, mu1=0.75, r1=2.0)
     delta = 1e-3
     bumped = types.SimpleNamespace(V0=1.0, V1=-0.5, mu0=0.25 + delta, mu1=0.75, r1=2.0)
-    res_base, _ = interface_residuals(base, tp, 1.0)
-    res_bump, _ = interface_residuals(bumped, tp, 1.0)
+    res_base, _ = interface_residuals(base, make_reference())
+    res_bump, _ = interface_residuals(bumped, make_reference())
     # shifting mu0 changes the accretion-side mismatch by M delta r1 / ((r1-r0) r0)
     assert res_bump - res_base == pytest.approx(delta * 2.0, rel=1e-9)
 
 
 def test_interface_residuals_geometry_check():
-    tp = TransportParams(1.0, 1.0, 1.0, 1.0)
     state = types.SimpleNamespace(V0=1.0, V1=-0.5, mu0=0.25, mu1=0.75, r1=0.5)
     with pytest.raises(ValueError):
-        interface_residuals(state, tp, 1.0)
+        interface_residuals(state, make_reference())
 
 
 def test_treadmilling_outer_region_is_quiescent():
     """With V1 = -V0 the outside sees no flux and a flat potential."""
-    tp = TransportParams(M_inner=2.0, M_outer=0.5, rhoR=1.5, mu_inf=3.25)
-    p = SteadyProfiles(V0=2.0, V1=-2.0, mu0=1.0, r0=1.0, r1=1.75, transport=tp)
+    p = SteadyProfiles(V0=2.0, V1=-2.0, mu0=1.0, r0=1.0, r1=1.75,
+                       M_inner=2.0, M_outer=0.5, rhoR=1.5, mu_inf=3.25)
     for r in (1.75, 2.0, 5.0, 40.0):
         h = p.h(r, side="above") if r == 1.75 else p.h(r)
         assert h == 0.0
@@ -155,8 +152,9 @@ def test_array_fields_match_scalar_calls():
         r1 = r0 * rng.uniform(1.0, 4.0)
         V0 = rng.uniform(0.1, 3.0)
         V1 = -V0 if rng.uniform() < 0.5 else rng.uniform(-3.0, 0.0)
-        tp = TransportParams(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), 1.5)
-        p = SteadyProfiles(V0=V0, V1=V1, mu0=rng.uniform(-1.0, 1.0), r0=r0, r1=r1, transport=tp)
+        M_inner, M_outer, rhoR = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+        p = SteadyProfiles(V0=V0, V1=V1, mu0=rng.uniform(-1.0, 1.0), r0=r0, r1=r1,
+                           M_inner=M_inner, M_outer=M_outer, rhoR=rhoR, mu_inf=1.5)
         r = np.concatenate([np.linspace(r0, r1, 50), r1 * rng.uniform(1.0, 5.0, 20)])
         for side in ("below", "above"):
             h = p.h(r, side=side)
@@ -188,8 +186,8 @@ def test_array_flux_side_rule_and_zero():
     with pytest.raises(ValueError):
         p.mu(np.array([0.5, 1.0]))
     # treadmilling: the outside flux is +0.0, never -0.0
-    tp = TransportParams(M_inner=2.0, M_outer=0.5, rhoR=1.5, mu_inf=3.25)
-    q = SteadyProfiles(V0=2.0, V1=-2.0, mu0=1.0, r0=1.0, r1=1.75, transport=tp)
+    q = SteadyProfiles(V0=2.0, V1=-2.0, mu0=1.0, r0=1.0, r1=1.75,
+                       M_inner=2.0, M_outer=0.5, rhoR=1.5, mu_inf=3.25)
     h = q.h(np.array([1.75, 2.0, 40.0]), side="above")
     assert h.tolist() == [0.0, 0.0, 0.0]
     assert not np.signbit(h).any()

@@ -149,7 +149,7 @@ def test_stress_profile_samples():
     # velocity decays as (r0/r)**2
     assert prof.v[-1] == pytest.approx(0.75, rel=1e-15)
     no_vel = stress_profile(geom, e, 5)
-    assert no_vel.v is None and no_vel.h is None and no_vel.mu is None
+    assert no_vel.v is None
 
 
 def test_profile_consistent_with_pointwise_evaluations():
