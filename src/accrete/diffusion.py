@@ -21,12 +21,12 @@ __all__ = [
 
 
 def _selectors(r):
-    """r with its (where, any): Python's for a float r, so that numpy is not
+    """r with its (where, all): Python's for a float r, so that numpy is not
     imported; numpy's for anything else, taken as a float64 array."""
     if isinstance(r, float):
         return r, (lambda x, a, b: a if x else b), bool
     import numpy as np
-    return np.asarray(r, dtype=float), np.where, np.any
+    return np.asarray(r, dtype=float), np.where, np.all
 
 
 def flux(
@@ -57,11 +57,11 @@ def flux(
     side : str, optional
         One-sided limit selector at r = r1; ignored elsewhere.
     """
-    r, where, any_ = _selectors(r)
-    if any_(r < r0):
+    r, where, all_ = _selectors(r)
+    if not all_(r >= r0):
         raise ValueError("r < r0: no flux defined inside the bead")
     at_r1 = r == r1
-    if any_(at_r1) and side not in ("below", "above"):
+    if not all_(r != r1) and side not in ("below", "above"):
         raise ValueError('flux jumps at r1; pass side="below" or side="above"')
     inside = (r < r1) | (at_r1 & (side == "below"))
     q = r0 / r
@@ -97,7 +97,7 @@ class SteadyProfiles:
         for name in ("r0", "M_inner", "M_outer", "rhoR"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.r1 < self.r0:
+        if not self.r1 >= self.r0:
             raise ValueError("r1 must not be below r0")
 
     def h(self, r, side: str | None = None):
@@ -120,8 +120,8 @@ def chemical_potential(r, profiles: SteadyProfiles):
     array.
     """
     p = profiles
-    r, where, any_ = _selectors(r)
-    if any_(r < p.r0):
+    r, where, all_ = _selectors(r)
+    if not all_(r >= p.r0):
         raise ValueError("r < r0: no potential defined inside the bead")
     inner = p.mu0 + (p.rhoR * p.r0 * p.V0 / p.M_inner) * (1.0 - p.r0 / r)
     outer = p.mu_inf - (p.rhoR * (p.V0 + p.V1) / p.M_outer) * (p.r0 / r * p.r0)
@@ -140,7 +140,7 @@ def interface_residuals(state, profiles: SteadyProfiles) -> tuple[float, float]:
     the transport constants are those of ``profiles``.
     """
     p, r0, r1 = profiles, profiles.r0, state.r1
-    if r1 <= r0:
+    if not r1 > r0:
         raise ValueError("interface residuals need r1 > r0")
     res0 = p.rhoR * state.V0 - p.M_inner * (state.mu1 - state.mu0) / (r1 - r0) * (r1 / r0)
     res1 = p.rhoR * (state.V0 + state.V1) - p.M_outer * (p.mu_inf - state.mu1) * r1 / r0 / r0

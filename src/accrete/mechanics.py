@@ -41,7 +41,7 @@ class ShellGeometry:
     def __post_init__(self):
         if not self.r0 > 0.0:
             raise ValueError("inner radius r0 must be positive")
-        if self.r1 < self.r0:
+        if not self.r1 >= self.r0:
             raise ValueError("outer radius r1 must not be below r0")
 
     @property
@@ -75,9 +75,11 @@ def radius_of_particle(Z: float, Z0: float, r0: float) -> float:
     coordinate and Z0 marks the particle currently at the inner surface.
     """
     import numpy as np
+    if any(map(np.ndim, (Z, Z0, r0))):
+        raise ValueError("Z, Z0 and r0 must be numbers: radius_of_particle takes one particle")
     if not r0 > 0.0:
         raise ValueError("r0 must be positive")
-    if Z < Z0:
+    if not Z >= Z0:
         raise ValueError("Z < Z0: particle is not in the body")
     return float(np.cbrt(r0**3 + 3.0 * r0**2 * (Z - Z0)))
 
@@ -99,7 +101,7 @@ def stretches(r: float, r0: float) -> tuple[float, float]:
     """
     if not r0 > 0.0:
         raise ValueError("r0 must be positive")
-    if r < r0:
+    if not r >= r0:
         raise ValueError("r < r0: point is inside the bead")
     return _lam_r(r, r0), r / r0
 
@@ -132,7 +134,7 @@ def _sigma(lam, lam1, energy: ReducedEnergy) -> tuple:
 
 
 def _check_in_shell(r: float, geom: ShellGeometry) -> None:
-    if r < geom.r0 or r > geom.r1:
+    if not geom.r0 <= r <= geom.r1:
         raise ValueError("r outside the shell [r0, r1]")
 
 

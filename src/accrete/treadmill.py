@@ -382,92 +382,72 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
     the model probes and the doubling, the rtsafe steps with their stops,
     and the endpoint with the smaller |F|.  So each returns the same bits.
     Python's min(a, b) is b if b < a else a, and the array forms below keep
-    that rule for NaN.  Every row is bracketed before any row iterates, so
-    a row counts its steps as _find_root does.  A step works only on the
-    rows still in progress; a row leaves where _find_root would return.
-    Returns the arrays (lam, w(lam)).
+    that rule for NaN.  Every row takes every step, under the masks probing
+    and live.  A row that stops keeps its result and its last u, where F was
+    already evaluated, so w and dw see no stretch that _find_root would not.
+    Every row is bracketed before any row iterates, so a row counts its
+    steps as _find_root does.  Returns the arrays (lam, w(lam)).
     """
     if wscale == 0.0:  # b1 times a speed, underflowed
         raise ValueError("energy scale b1 V of the root is out of the float range")
     import numpy as np
-    w, dw = energy.w, energy.dw
-    lam_out = np.empty(eta.size)
-    w_out = np.empty(eta.size)
+    w, dw, a1 = energy.w, energy.dw, 1.0 + eta
 
-    # Bracketing: rows idx probe u while F(u) > 0.
-    lo, f_lo, w_lo = np.zeros(eta.size), np.full(eta.size, drive), np.zeros(eta.size)
-    hi, f_hi, w_hi = np.empty(eta.size), np.empty(eta.size), np.empty(eta.size)
-    idx = np.arange(eta.size)
-    e = eta
-    u = _estimates(drive, e, np.zeros(eta.size))
-    u = np.where(u < 1.0, u, 1.0)
-    while idx.size:
+    def F(u):
         lam = 1.0 + u
-        lam = np.where(_ONE_UP > lam, _ONE_UP, lam)
+        wu = w(lam)
+        q = 1.0 + a1 * u
+        return lam, wu, q, drive - np.where(q < np.inf, eta * u / q, 1.0) - wu / wscale
+
+    # A bracket end is held as the rows (u, F(u), w(1 + u)).  A row probes
+    # while F(u) > 0; a row that stops keeps u, its upper end.
+    low = np.repeat([[0.0], [drive], [0.0]], eta.size, axis=1)
+    u = _estimates(drive, eta, np.zeros(eta.size))
+    u = np.where(u < 1.0, u, 1.0)
+    probing = np.ones(eta.size, dtype=bool)
+    while True:
+        lam = np.where(_ONE_UP > 1.0 + u, _ONE_UP, 1.0 + u)
         if not np.all(lam <= _LAM_CAP):
             raise NumericFailure(
                 f"no sign change below lam = {_LAM_CAP:g}; energy growth assumption violated?"
             )
-        u = lam - 1.0
-        wu = w(lam)
-        q = 1.0 + (1.0 + e) * u
-        fu = drive - np.where(q < np.inf, e * u / q, 1.0) - wu / wscale
-        done = fu <= 0.0
-        i = idx[done]
-        hi[i], f_hi[i], w_hi[i] = u[done], fu[done], wu[done]
-        more = ~done
-        idx, e, u, wu, fu = idx[more], e[more], u[more], wu[more], fu[more]
-        lo[idx], f_lo[idx], w_lo[idx] = u, fu, wu
-        u = 2.0 * _estimates(drive, e, wu / (wscale * u * u))
-
-    x = (1.0 + _estimates(drive, eta, w_hi / (wscale * hi * hi))) - 1.0
-    x = np.where((lo < x) & (x < hi), x, np.where(x <= lo, lo, hi))
-    step = step_old = hi - lo
-
-    def finish(rows, lam, w_lam):
-        lam_out[rows] = lam
-        w_out[rows] = w_lam
-
-    live = f_hi != 0.0
-    finish(~live, 1.0 + hi[~live], w_hi[~live])
-    idx = np.flatnonzero(live)
-    state = (eta, x, lo, f_lo, w_lo, hi, f_hi, w_hi, step, step_old)
-    e, x, lo, f_lo, w_lo, hi, f_hi, w_hi, step, step_old = (v[idx] for v in state)
-    for _ in range(_MAX_STEPS):
-        if not idx.size:
+        u = lam - 1.0  # 1 + u is lam again, since lam < 2**53
+        lam, wu, _, fu = F(u)
+        probing &= ~(fu <= 0.0)
+        if not probing.any():
             break
-        lam = 1.0 + x
-        wx = w(lam)
-        q = 1.0 + (1.0 + e) * x
-        fx = drive - np.where(q < np.inf, e * x / q, 1.0) - wx / wscale
+        low = np.where(probing, (u, fu, wu), low)
+        u = np.where(probing, 2.0 * _estimates(drive, eta, wu / (wscale * u * u)), u)
+
+    # A live row takes rtsafe steps from x.  A row that stops keeps x, where
+    # F gives it the same lam, wu, fx and bracket at every later step.
+    lo, hi, high = low[0], u, np.array((u, fu, wu))
+    live, exact = fu != 0.0, fu == 0.0
+    x = (1.0 + _estimates(drive, eta, wu / (wscale * u * u))) - 1.0
+    x = np.where(live & (lo < x) & (x < hi), x, np.where(live & (x <= lo), lo, hi))
+    step = step_old = hi - lo
+    for _ in range(_MAX_STEPS):
+        if not live.any():
+            break
+        lam, wu, q, fx = F(x)
         pos, neg = fx > 0.0, fx < 0.0
-        lo, f_lo, w_lo = np.where(pos, x, lo), np.where(pos, fx, f_lo), np.where(pos, wx, w_lo)
-        hi, f_hi, w_hi = np.where(neg, x, hi), np.where(neg, fx, f_hi), np.where(neg, wx, w_hi)
-        dfx = -e / (q * q) - dw(lam) / wscale
+        low, high = np.where(pos, (x, fx, wu), low), np.where(neg, (x, fx, wu), high)
+        lo, hi = low[0], high[0]
+        dfx = -eta / (q * q) - dw(lam) / wscale
         newton = np.where(dfx < 0.0, fx / dfx, np.inf)
         x_new = (lam - newton) - 1.0
         ok = (lo < x_new) & (x_new < hi) & (np.abs(newton + newton) <= np.abs(step_old))
         mid = (1.0 + 0.5 * (lo + hi)) - 1.0
         give_up = (np.abs(newton) <= _NOISE * lam) | ~((lo < mid) & (mid < hi))
         exact = ~(pos | neg)
-        stop = (x_new == x) | (~ok & give_up)
+        live &= ~(exact | (x_new == x) | (~ok & give_up))
         x_new = np.where(ok, x_new, mid)
         step_old, step = step, x - x_new
-        done = exact | stop
-        if done.any():
-            use_lo = np.abs(f_lo) < np.abs(f_hi)
-            end = np.where(exact, lam, 1.0 + np.where(use_lo, lo, hi))
-            w_end = np.where(exact, wx, np.where(use_lo, w_lo, w_hi))
-            finish(idx[done], end[done], w_end[done])
-            more = ~done
-            state = (idx, e, x_new, lo, f_lo, w_lo, hi, f_hi, w_hi, step, step_old)
-            idx, e, x_new, lo, f_lo, w_lo, hi, f_hi, w_hi, step, step_old = (
-                v[more] for v in state
-            )
-        x = x_new
-    if idx.size:
+        x = np.where(live, x_new, x)
+    if live.any():
         raise NumericFailure("root iteration failed to converge")
-    return lam_out, w_out
+    end = np.where(np.abs(low[1]) < np.abs(high[1]), low, high)
+    return np.where(exact, lam, 1.0 + end[0]), np.where(exact, wu, end[2])
 
 
 def _drive(params: ModelParams, Vstar: float, Vstarstar: float) -> float:
@@ -535,8 +515,9 @@ def solve_eta(params: ModelParams, eta) -> TreadmillState:
     if eta.ndim != 1:
         raise ValueError("eta must be a 1-D array")
     # r0 and eta may leave the float range, which is checked below.  Both
-    # arms of every np.where are computed, so a row may also overflow or
-    # divide by zero in an arm that its scalar solve never takes.
+    # arms of every np.where are computed, and a row that has stopped is
+    # still computed in every later step, so a row may also overflow or
+    # divide by zero in an arm or a step that its scalar solve never takes.
     with np.errstate(all="ignore"):
         r0 = eta * ellStar
         if not np.all(r0 > 0.0):

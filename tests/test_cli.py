@@ -859,7 +859,7 @@ def tables(draw):
     return cli._Table(tuple(f"c{i}" for i in range(len(columns))), columns)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(tables())
 def test_writer_matches_the_per_cell_writer(table):
     assert cli._csv_text(table) == reference_csv(table)
@@ -867,7 +867,7 @@ def test_writer_matches_the_per_cell_writer(table):
     assert cli._json_text(doc) == reference_json(doc)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(tables(), st.data())
 def test_writer_raises_on_a_nonfinite_cell_in_any_column(table, data):
     numeric = [i for i, c in enumerate(table.columns) if len(c) and isinstance(c[0], float)]

@@ -33,9 +33,10 @@ def test_transport_params_validation():
 
 
 def test_profiles_validation():
-    with pytest.raises(ValueError):
-        SteadyProfiles(V0=1.0, V1=0.0, mu0=0.0, r0=2.0, r1=1.0,
-                       M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=0.0)
+    for r1 in (1.0, np.nan):
+        with pytest.raises(ValueError, match="^r1 must not be below r0$"):
+            SteadyProfiles(V0=1.0, V1=0.0, mu0=0.0, r0=2.0, r1=r1,
+                           M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=0.0)
 
 
 def test_flux_frozen_values():
@@ -58,8 +59,9 @@ def test_flux_requires_side_only_at_r1():
         flux(2.0, 1.0, -0.5, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         flux(2.0, 1.0, -0.5, 1.0, 2.0, 1.0, side="sideways")
-    with pytest.raises(ValueError):
-        flux(0.5, 1.0, -0.5, 1.0, 2.0, 1.0)
+    for r in (0.5, np.nan, np.array([1.5, np.nan])):
+        with pytest.raises(ValueError, match="^r < r0: no flux defined inside the bead$"):
+            flux(r, 1.0, -0.5, 1.0, 2.0, 1.0)
 
 
 def test_flux_conserves_particles_piecewise():
@@ -98,8 +100,9 @@ def test_potential_monotone_toward_far_field():
 
 def test_potential_domain():
     p = make_reference()
-    with pytest.raises(ValueError):
-        chemical_potential(0.5, p)
+    for r in (0.5, np.nan, np.array([1.5, np.nan])):
+        with pytest.raises(ValueError, match="^r < r0: no potential defined inside the bead$"):
+            chemical_potential(r, p)
 
 
 def test_flux_is_fickian():
@@ -129,9 +132,10 @@ def test_interface_residuals_linear_in_mu0():
 
 
 def test_interface_residuals_geometry_check():
-    state = types.SimpleNamespace(V0=1.0, V1=-0.5, mu0=0.25, mu1=0.75, r1=0.5)
-    with pytest.raises(ValueError):
-        interface_residuals(state, make_reference())
+    for r1 in (0.5, np.nan):
+        state = types.SimpleNamespace(V0=1.0, V1=-0.5, mu0=0.25, mu1=0.75, r1=r1)
+        with pytest.raises(ValueError, match=r"^interface residuals need r1 > r0$"):
+            interface_residuals(state, make_reference())
 
 
 def test_treadmilling_outer_region_is_quiescent():

@@ -23,8 +23,9 @@ def test_geometry_validation():
     assert g.nu == 2.5
     with pytest.raises(ValueError):
         ShellGeometry(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ShellGeometry(2.0, 1.0)
+    for r0, r1 in ((2.0, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="^outer radius r1 must not be below r0$"):
+            ShellGeometry(r0, r1)
 
 
 def test_radius_of_particle_frozen_values():
@@ -52,8 +53,11 @@ def test_radius_of_particle_is_numpy_cbrt_bit_for_bit():
 def test_radius_of_particle_rejects_bad_input():
     with pytest.raises(ValueError):
         radius_of_particle(1.0, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        radius_of_particle(-0.5, 0.0, 1.0)
+    for Z, Z0 in ((-0.5, 0.0), (np.nan, 0.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="^Z < Z0: particle is not in the body$"):
+            radius_of_particle(Z, Z0, 1.0)
+    with pytest.raises(ValueError, match="radius_of_particle takes one particle$"):
+        radius_of_particle(np.array([1.0, 2.0]), 0.0, 1.0)
 
 
 def test_radius_is_increasing_in_deposited_volume():
@@ -67,6 +71,12 @@ def test_stretches_frozen_values():
     assert lam_r == pytest.approx(4.0 / 9.0, rel=1e-15)
     assert lam_t == 1.5
     assert stretches(2.0, 2.0) == (1.0, 1.0)
+
+
+def test_stretches_domain():
+    for r in (1.5, np.nan):
+        with pytest.raises(ValueError, match="^r < r0: point is inside the bead$"):
+            stretches(r, 2.0)
 
 
 def test_incompressibility_everywhere():
@@ -107,9 +117,10 @@ def test_radial_stress_is_compressive_inside():
 def test_radial_stress_domain():
     geom = ShellGeometry(1.0, 2.0)
     e = NeoHookean(1.0)
-    for r in (0.5, 2.5):
-        with pytest.raises(ValueError):
-            radial_stress(r, geom, e)
+    for r in (0.5, 2.5, np.nan):
+        for stress in (radial_stress, hoop_stress):
+            with pytest.raises(ValueError, match=r"^r outside the shell \[r0, r1\]$"):
+                stress(r, geom, e)
 
 
 def test_hoop_stress_frozen_value():

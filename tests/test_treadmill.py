@@ -34,6 +34,7 @@ from accrete.treadmill import (
     solve,
     solve_eta,
 )
+from test_root_finder import SkewedDerivative, WrongSignDerivative
 
 
 def make_params(**kw):
@@ -363,8 +364,14 @@ GEOM = np.geomspace(1e-6, 1e6, 2500)
         # quotient 1 - Vstarstar/Vstar
         ({"b0": 0.3, "b1": 7.0, "mu_inf": 0.12328767123287672}, GEOM),
         ({}, np.linspace(1e-6, 1e6, 2500)),
+        # a wrong dw sends rows to bisection, so they stop many steps apart
+        ({"energy": SkewedDerivative(1.0)}, GEOM),
+        ({"energy": WrongSignDerivative(1.0)}, GEOM),
     ],
-    ids=["default", "ablation", "thin-shell", "soft-skewed", "drive-fallback", "linear"],
+    ids=[
+        "default", "ablation", "thin-shell", "soft-skewed", "drive-fallback", "linear",
+        "skewed-dw", "wrong-sign-dw",
+    ],
 )
 def test_solve_eta_matches_solve_bit_for_bit(kw, etas):
     p = make_params(**kw)
