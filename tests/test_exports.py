@@ -1,0 +1,21 @@
+"""The export lists of the package and of each of its modules."""
+
+import importlib
+import pkgutil
+
+import accrete
+
+MODULES = [importlib.import_module(f"accrete.{m.name}") for m in pkgutil.iter_modules(accrete.__path__)]
+
+
+def test_every_exported_name_resolves():
+    for module in [accrete, *MODULES]:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+
+
+def test_package_exports_only_what_its_modules_export():
+    exported = {name: getattr(m, name) for m in MODULES for name in m.__all__}
+    for name in accrete.__all__:
+        assert name in exported, name
+        assert getattr(accrete, name) is exported[name], name
