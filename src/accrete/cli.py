@@ -381,6 +381,8 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
     state = None
     if cfg.r1 is None:
         state = treadmill.solve(cfg.params)
+        if not math.isfinite(state.r1):  # r1 = nu r0 overflows for a bead near the float range
+            raise NumericFailure(f"non-finite value in the output: r1 = {state.r1!r}")
         profiles = diffusion.SteadyProfiles(state.V0, state.V1, state.mu0, cfg.r0, state.r1,
                                             cfg.M_inner, cfg.M_outer, cfg.rhoR, cfg.mu_inf)
     geom = mechanics.ShellGeometry(cfg.r0, cfg.r1 if state is None else state.r1)

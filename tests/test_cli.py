@@ -435,9 +435,10 @@ def test_profiles_of_a_huge_bead_end_without_traceback(child_env, r0, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_solve_nonfinite_value_is_numeric_failure(capsys, fmt):
+@pytest.mark.parametrize("command", ["solve", "profiles"])
+def test_solve_nonfinite_value_is_numeric_failure(capsys, command, fmt):
     # nu is about 2.28, so r1 = nu r0 and d overflow to inf
-    argv = ["solve", "--format", fmt, "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=5.53125"]
+    argv = [command, "--format", fmt, "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=5.53125"]
     code, out, err = run(capsys, argv)
     assert code == 4
     assert out == ""
