@@ -12,19 +12,12 @@ from .strain_energy import (
 from .mechanics import (
     FieldSample,
     ShellGeometry,
-    equilibrium_residual,
-    hoop_stress,
-    outer_radius_rate,
-    radial_stress,
+    fields_at,
     radius_of_particle,
     stress_profile,
-    stretches,
-    velocity,
 )
 from .diffusion import (
     SteadyProfiles,
-    chemical_potential,
-    flux,
     interface_residuals,
 )
 from .treadmill import (
@@ -54,16 +47,9 @@ __all__ = [
     "FieldSample",
     "ShellGeometry",
     "radius_of_particle",
-    "stretches",
-    "velocity",
-    "radial_stress",
-    "hoop_stress",
+    "fields_at",
     "stress_profile",
-    "equilibrium_residual",
-    "outer_radius_rate",
     "SteadyProfiles",
-    "flux",
-    "chemical_potential",
     "interface_residuals",
     "ModelParams",
     "Scales",

@@ -400,7 +400,7 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
         append = np.append
     else:  # the same cells, one radius at a time
         radii = strain_energy._linspace(geom.r0, geom.r1, cfg.grid_n)
-        cols = [[*x] for x in zip(*(cells(mechanics._sample(r, geom, energy, None)) for r in radii))]
+        cols = [[*x] for x in zip(*(cells(mechanics.fields_at(r, geom, energy)) for r in radii))]
         append = list.__add__
     # v/V0 = (r0/r)**2 in closed form, defined also where the solved V0 rounds to 0
     v = [] if state is None and cfg.v0 is None else cols[3]

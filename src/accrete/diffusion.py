@@ -3,8 +3,9 @@
 In steady state the radial flux h(r) satisfies (r**2 h)' = 0 on each side
 of the outer surface, with a jump there set by the ablation speed, and the
 chemical potential follows from Fick's law h = -M mu'.  Both fields are
-closed-form in (V0, V1, mu0, mu_inf, r0, r1); profiles are stored as the
-parameter bundle and evaluated on demand, so there is no discretization
+closed-form in (V0, V1, mu0, mu_inf, r0, r1).  SteadyProfiles holds that
+parameter bundle, and its methods h and mu evaluate the two fields on
+demand at a float or an array of radii, so there is no discretization
 error to track.
 """
 
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "SteadyProfiles",
-    "flux",
-    "chemical_potential",
     "interface_residuals",
 ]
 
@@ -27,49 +26,6 @@ def _selectors(r):
         return r, (lambda x, a, b: a if x else b), bool
     import numpy as np
     return np.asarray(r, dtype=float), np.where, np.all
-
-
-def flux(
-    r,
-    V0: float,
-    V1: float,
-    r0: float,
-    r1: float,
-    rhoR: float,
-    side: str | None = None,
-):
-    """Steady free-particle flux h(r).
-
-    h(r) = -rhoR V0 (r0/r)**2 inside the solid and
-    h(r) = -rhoR (V0+V1) (r0/r)**2 outside it.  The flux jumps at r1, so
-    evaluating exactly there requires side="below" or side="above".
-
-    Parameters
-    ----------
-    r : float or array of float
-        Radius, r >= r0.  A float gives a float, an array an array.
-    V0, V1 : float
-        Accretion and ablation speeds.
-    r0, r1 : float
-        Inner and outer surface radii.
-    rhoR : float
-        Referential density.
-    side : str, optional
-        One-sided limit selector at r = r1; ignored elsewhere.
-    """
-    r, where, all_ = _selectors(r)
-    if not all_(r >= r0):
-        raise ValueError("r < r0: no flux defined inside the bead")
-    at_r1 = r == r1
-    if not all_(r != r1) and side not in ("below", "above"):
-        raise ValueError('flux jumps at r1; pass side="below" or side="above"')
-    inside = (r < r1) | (at_r1 & (side == "below"))
-    q = r0 / r
-    value = where(inside, -rhoR * V0, -rhoR * (V0 + V1)) * (q * q)
-    # A treadmilling state has V0 + V1 = 0 exactly, which gives -0.0
-    # outside; adding 0.0 turns -0.0 into 0.0 and changes nothing else.
-    value += 0.0
-    return value if getattr(value, "ndim", 0) else float(value)
 
 
 @dataclass(frozen=True)
@@ -101,32 +57,47 @@ class SteadyProfiles:
             raise ValueError("r1 must not be below r0")
 
     def h(self, r, side: str | None = None):
-        """Flux at r, a float or an array; see :func:`flux`."""
-        return flux(r, self.V0, self.V1, self.r0, self.r1, self.rhoR, side)
+        """Steady free-particle flux h(r), r >= r0.
+
+        h(r) = -rhoR V0 (r0/r)**2 inside the solid and
+        h(r) = -rhoR (V0+V1) (r0/r)**2 outside it.  The flux jumps at r1, so
+        a radius exactly there needs side="below" or side="above", the
+        one-sided limit; side is ignored elsewhere.  A float r gives a
+        float, an array an array.
+        """
+        p = self
+        r, where, all_ = _selectors(r)
+        if not all_(r >= p.r0):
+            raise ValueError("r < r0: no flux defined inside the bead")
+        at_r1 = r == p.r1
+        if not all_(r != p.r1) and side not in ("below", "above"):
+            raise ValueError('flux jumps at r1; pass side="below" or side="above"')
+        inside = (r < p.r1) | (at_r1 & (side == "below"))
+        q = p.r0 / r
+        value = where(inside, -p.rhoR * p.V0, -p.rhoR * (p.V0 + p.V1)) * (q * q)
+        # A treadmilling state has V0 + V1 = 0 exactly, which gives -0.0
+        # outside; adding 0.0 turns -0.0 into 0.0 and changes nothing else.
+        value += 0.0
+        return value if getattr(value, "ndim", 0) else float(value)
 
     def mu(self, r):
-        """Chemical potential at r, a float or an array; see :func:`chemical_potential`."""
-        return chemical_potential(r, self)
+        """Chemical potential mu(r), r >= r0.
 
+        mu(r) = mu0 + (rhoR r0 V0 / M_inner)(1 - r0/r)      for r0 <= r < r1,
+        mu(r) = mu_inf - (rhoR (V0+V1) / M_outer)(r0**2/r)  for r >= r1.
 
-def chemical_potential(r, profiles: SteadyProfiles):
-    """Chemical potential mu(r) of the steady profiles.
-
-    mu(r) = mu0 + (rhoR r0 V0 / M_inner)(1 - r0/r)      for r0 <= r < r1,
-    mu(r) = mu_inf - (rhoR (V0+V1) / M_outer)(r0**2/r)  for r >= r1.
-
-    At r = r1 the outer expression is returned; for a consistent state it
-    coincides with the inner limit.  A float r gives a float, an array an
-    array.
-    """
-    p = profiles
-    r, where, all_ = _selectors(r)
-    if not all_(r >= p.r0):
-        raise ValueError("r < r0: no potential defined inside the bead")
-    inner = p.mu0 + (p.rhoR * p.r0 * p.V0 / p.M_inner) * (1.0 - p.r0 / r)
-    outer = p.mu_inf - (p.rhoR * (p.V0 + p.V1) / p.M_outer) * (p.r0 / r * p.r0)
-    value = where(r < p.r1, inner, outer)
-    return value if getattr(value, "ndim", 0) else float(value)
+        At r = r1 the outer expression is returned; for a consistent state it
+        coincides with the inner limit.  A float r gives a float, an array an
+        array.
+        """
+        p = self
+        r, where, all_ = _selectors(r)
+        if not all_(r >= p.r0):
+            raise ValueError("r < r0: no potential defined inside the bead")
+        inner = p.mu0 + (p.rhoR * p.r0 * p.V0 / p.M_inner) * (1.0 - p.r0 / r)
+        outer = p.mu_inf - (p.rhoR * (p.V0 + p.V1) / p.M_outer) * (p.r0 / r * p.r0)
+        value = where(r < p.r1, inner, outer)
+        return value if getattr(value, "ndim", 0) else float(value)
 
 
 def interface_residuals(state, profiles: SteadyProfiles) -> tuple[float, float]:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from accrete import cli
-from accrete.diffusion import SteadyProfiles, flux, interface_residuals
-from accrete.mechanics import ShellGeometry, equilibrium_residual, radial_stress
+from accrete.diffusion import SteadyProfiles, interface_residuals
+from accrete.mechanics import ShellGeometry, fields_at
 from accrete.strain_energy import NeoHookean
 from accrete.treadmill import (
     ModelParams,
@@ -23,6 +23,7 @@ from accrete.treadmill import (
     solvable,
     solve,
 )
+from test_mechanics import equilibrium_residual
 
 # ---------------------------------------------------------------------------
 # test-local oracles
@@ -313,8 +314,8 @@ def test_c07_stress_field_checks():
         for r0, r1, G in ((1.0, 2.0, 1.0), (0.7, 1.6, 3.7)):
             geom = ShellGeometry(r0, r1)
             e = NeoHookean(G)
-            assert radial_stress(r1, geom, e) == 0.0, (r0, r1, G)
-            bead = radial_stress(r0, geom, e)
+            assert fields_at(r1, geom, e).sigma_r == 0.0, (r0, r1, G)
+            bead = fields_at(r0, geom, e).sigma_r
             assert abs(bead + w_closed(G, r1 / r0)) <= 1e-12 * G, (r0, r1, G)
             ratio = equilibrium_residual(geom, e, 101) / equilibrium_residual(geom, e, 201)
             assert 3.5 <= ratio <= 4.5, (r0, r1, G)
@@ -354,8 +355,8 @@ def test_c08_back_substituted_residuals():
         assert abs(res0) / scale0 <= 1e-10, p
         # both terms of the outer balance vanish identically in treadmilling
         assert res1 == 0.0, p
-        assert flux(st.r1, st.V0, st.V1, p.r0, st.r1, p.rhoR, side="above") == 0.0
-        assert flux(2.0 * st.r1, st.V0, st.V1, p.r0, st.r1, p.rhoR) == 0.0
+        assert profiles.h(st.r1, side="above") == 0.0
+        assert profiles.h(2.0 * st.r1) == 0.0
 
     def body():
         canonical = (

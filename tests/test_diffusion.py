@@ -11,12 +11,7 @@ import types
 import numpy as np
 import pytest
 
-from accrete.diffusion import (
-    SteadyProfiles,
-    chemical_potential,
-    flux,
-    interface_residuals,
-)
+from accrete.diffusion import SteadyProfiles, interface_residuals
 
 
 def make_reference():
@@ -40,28 +35,31 @@ def test_profiles_validation():
 
 
 def test_flux_frozen_values():
-    assert flux(1.0, 1.0, -0.5, 1.0, 2.0, 1.0) == -1.0
-    assert flux(1.5, 1.0, -0.5, 1.0, 2.0, 1.0) == pytest.approx(-4.0 / 9.0, rel=1e-15)
-    assert flux(2.0, 1.0, -0.5, 1.0, 2.0, 1.0, side="below") == -0.25
-    assert flux(2.0, 1.0, -0.5, 1.0, 2.0, 1.0, side="above") == -0.125
-    assert flux(4.0, 1.0, -0.5, 1.0, 2.0, 1.0) == -0.03125
+    p = make_reference()
+    assert p.h(1.0) == -1.0
+    assert p.h(1.5) == pytest.approx(-4.0 / 9.0, rel=1e-15)
+    assert p.h(2.0, side="below") == -0.25
+    assert p.h(2.0, side="above") == -0.125
+    assert p.h(4.0) == -0.03125
 
 
 def test_flux_jump_at_ablation_front():
     # the jump equals -(r0/r1)**2 rhoR V1
-    below = flux(2.0, 1.0, -0.5, 1.0, 2.0, 1.0, side="below")
-    above = flux(2.0, 1.0, -0.5, 1.0, 2.0, 1.0, side="above")
+    p = make_reference()
+    below = p.h(2.0, side="below")
+    above = p.h(2.0, side="above")
     assert above - below == 0.125
 
 
 def test_flux_requires_side_only_at_r1():
+    p = make_reference()
     with pytest.raises(ValueError):
-        flux(2.0, 1.0, -0.5, 1.0, 2.0, 1.0)
+        p.h(2.0)
     with pytest.raises(ValueError):
-        flux(2.0, 1.0, -0.5, 1.0, 2.0, 1.0, side="sideways")
+        p.h(2.0, side="sideways")
     for r in (0.5, np.nan, np.array([1.5, np.nan])):
         with pytest.raises(ValueError, match="^r < r0: no flux defined inside the bead$"):
-            flux(r, 1.0, -0.5, 1.0, 2.0, 1.0)
+            p.h(r)
 
 
 def test_flux_conserves_particles_piecewise():
@@ -77,24 +75,24 @@ def test_flux_conserves_particles_piecewise():
 def test_potential_frozen_values():
     p = make_reference()
     # inner branch: mu0 + (1 - r0/r); outer branch: mu_inf - 0.5 r0**2 / r
-    assert chemical_potential(1.0, p) == 0.25
-    assert chemical_potential(1.5, p) == pytest.approx(0.25 + 1.0 / 3.0, rel=1e-15)
-    assert chemical_potential(2.0, p) == 0.75
-    assert chemical_potential(4.0, p) == 0.875
-    assert chemical_potential(1e9, p) == pytest.approx(1.0, rel=1e-9)
+    assert p.mu(1.0) == 0.25
+    assert p.mu(1.5) == pytest.approx(0.25 + 1.0 / 3.0, rel=1e-15)
+    assert p.mu(2.0) == 0.75
+    assert p.mu(4.0) == 0.875
+    assert p.mu(1e9) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_potential_is_continuous_at_r1():
     p = make_reference()
     eps = 1e-10
-    gap = chemical_potential(2.0, p) - chemical_potential(2.0 - eps, p)
+    gap = p.mu(2.0) - p.mu(2.0 - eps)
     assert abs(gap) <= 1e-9
 
 
 def test_potential_monotone_toward_far_field():
     p = make_reference()
     r = np.linspace(1.0, 20.0, 200)
-    mu = np.array([chemical_potential(ri, p) for ri in r])
+    mu = np.array([p.mu(ri) for ri in r])
     assert np.all(np.diff(mu) > 0.0)
 
 
@@ -102,7 +100,7 @@ def test_potential_domain():
     p = make_reference()
     for r in (0.5, np.nan, np.array([1.5, np.nan])):
         with pytest.raises(ValueError, match="^r < r0: no potential defined inside the bead$"):
-            chemical_potential(r, p)
+            p.mu(r)
 
 
 def test_flux_is_fickian():
@@ -110,7 +108,7 @@ def test_flux_is_fickian():
     p = make_reference()
     for r in (1.3, 1.8, 3.0, 7.0):  # mobilities are 1 on both sides here
         s = 1e-6 * r
-        grad = (chemical_potential(r + s, p) - chemical_potential(r - s, p)) / (2 * s)
+        grad = (p.mu(r + s) - p.mu(r - s)) / (2 * s)
         assert p.h(r) == pytest.approx(-grad, rel=1e-8)
 
 
@@ -146,7 +144,7 @@ def test_treadmilling_outer_region_is_quiescent():
         h = p.h(r, side="above") if r == 1.75 else p.h(r)
         assert h == 0.0
         assert str(h) == "0.0"  # not -0.0: the printed value must carry no sign
-        assert chemical_potential(r, p) == 3.25
+        assert p.mu(r) == 3.25
 
 
 def test_array_fields_match_scalar_calls():
@@ -171,7 +169,9 @@ def test_array_fields_match_scalar_calls():
         mu = p.mu(r)
         assert isinstance(mu, np.ndarray) and mu.shape == r.shape
         for ri, mi in zip(r.tolist(), mu.tolist()):
-            assert mi == chemical_potential(ri, p)
+            scalar = p.mu(ri)
+            assert type(scalar) is float
+            assert mi == scalar
 
 
 def test_array_flux_side_rule_and_zero():

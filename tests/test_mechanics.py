@@ -1,21 +1,44 @@
 """Tests for kinematics and stress fields in the growing spherical shell."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from accrete.mechanics import (
     FieldSample,
     ShellGeometry,
-    equilibrium_residual,
-    hoop_stress,
-    outer_radius_rate,
-    radial_stress,
+    fields_at,
     radius_of_particle,
     stress_profile,
-    stretches,
-    velocity,
 )
 from accrete.strain_energy import NeoHookean
+
+
+def equilibrium_residual(geom, energy, n):
+    """Discrete check of the radial equilibrium equation.
+
+    Returns max over interior grid points of
+    |centered-difference(sigma_r)/dr - 2 (sigma_theta - sigma_r)/r| on a
+    uniform n-point grid.  The closed-form stress satisfies
+    d sigma_r/dr = 2 (sigma_theta - sigma_r)/r exactly, so the residual is
+    pure truncation error and shrinks as O(dr**2).
+    """
+    if geom.r1 == geom.r0:
+        return 0.0
+    f = stress_profile(geom, energy, n)
+    dr = (geom.r1 - geom.r0) / (n - 1)
+    dsig = (f.sigma_r[2:] - f.sigma_r[:-2]) / (2.0 * dr)
+    target = 2.0 * (f.sigma_theta[1:-1] - f.sigma_r[1:-1]) / f.r[1:-1]
+    return float(np.max(np.abs(dsig - target)))
+
+
+def outer_radius_rate(geom, V0, V1):
+    """Growth rate of the outer radius from volume conservation.
+
+    r1**2 rdot1 = r0**2 (V0 + V1); treadmilling (V1 = -V0) gives zero.
+    """
+    return geom.r0**2 * (V0 + V1) / geom.r1**2
 
 
 def test_geometry_validation():
@@ -67,48 +90,48 @@ def test_radius_is_increasing_in_deposited_volume():
 
 
 def test_stretches_frozen_values():
-    lam_r, lam_t = stretches(3.0, 2.0)
-    assert lam_r == pytest.approx(4.0 / 9.0, rel=1e-15)
-    assert lam_t == 1.5
-    assert stretches(2.0, 2.0) == (1.0, 1.0)
-
-
-def test_stretches_domain():
-    for r in (1.5, np.nan):
-        with pytest.raises(ValueError, match="^r < r0: point is inside the bead$"):
-            stretches(r, 2.0)
+    geom, e = ShellGeometry(2.0, 3.0), NeoHookean(1.0)
+    f = fields_at(3.0, geom, e, V0=1.0)
+    assert f.lam_r == pytest.approx(4.0 / 9.0, rel=1e-15)
+    assert f.lam_theta == 1.5
+    # a float radius gives Python floats, as the CLI's float rows need
+    assert all(type(x) is float for x in (f.r, f.lam_r, f.lam_theta, f.sigma_r, f.sigma_theta, f.v))
+    f = fields_at(2.0, geom, e)
+    assert (f.lam_r, f.lam_theta) == (1.0, 1.0)
 
 
 def test_incompressibility_everywhere():
     rng = np.random.default_rng(7)
+    e = NeoHookean(1.0)
     for _ in range(100):
         r0 = rng.uniform(0.3, 3.0)
         r = r0 * rng.uniform(1.0, 5.0)
-        lam_r, lam_t = stretches(r, r0)
-        assert abs(lam_r * lam_t**2 - 1.0) <= 1e-12
+        f = fields_at(r, ShellGeometry(r0, r), e)
+        assert abs(f.lam_r * f.lam_theta**2 - 1.0) <= 1e-12
 
 
 def test_velocity_conserves_volume_flux():
     r0, V0 = 1.7, 2.2
+    geom, e = ShellGeometry(r0, 8.0), NeoHookean(1.0)
     r = np.linspace(r0, 8.0, 60)
-    q = np.array([ri**2 * velocity(ri, V0, r0) for ri in r])
+    q = np.array([ri**2 * fields_at(ri, geom, e, V0).v for ri in r.tolist()])
     assert np.ptp(q) <= 1e-12 * abs(q[0])
-    assert velocity(r0, V0, r0) == V0
+    assert fields_at(r0, geom, e, V0).v == V0
 
 
 def test_radial_stress_boundary_values():
     geom = ShellGeometry(1.0, 2.0)
     e = NeoHookean(1.0)
     # zero at the ablation surface, -w(nu) at the bead: both exact here
-    assert radial_stress(2.0, geom, e) == 0.0
-    assert radial_stress(1.0, geom, e) == -2.53125
+    assert fields_at(2.0, geom, e).sigma_r == 0.0
+    assert fields_at(1.0, geom, e).sigma_r == -2.53125
 
 
 def test_radial_stress_is_compressive_inside():
     geom = ShellGeometry(0.5, 1.9)
     e = NeoHookean(3.0)
     r = np.linspace(geom.r0, geom.r1, 40)
-    s = np.array([radial_stress(ri, geom, e) for ri in r])
+    s = np.array([fields_at(ri, geom, e).sigma_r for ri in r.tolist()])
     assert np.all(s[:-1] < 0.0)
     assert s[-1] == 0.0
     assert np.all(np.diff(s) > 0.0)
@@ -117,24 +140,24 @@ def test_radial_stress_is_compressive_inside():
 def test_radial_stress_domain():
     geom = ShellGeometry(1.0, 2.0)
     e = NeoHookean(1.0)
-    for r in (0.5, 2.5, np.nan):
-        for stress in (radial_stress, hoop_stress):
-            with pytest.raises(ValueError, match=r"^r outside the shell \[r0, r1\]$"):
-                stress(r, geom, e)
+    for r in (0.5, 2.5, np.nan, *map(np.array, ([0.5, 1.5], [1.5, 2.5], [1.5, np.nan]))):
+        with pytest.raises(ValueError, match=r"^r outside the shell \[r0, r1\]$"):
+            fields_at(r, geom, e)
 
 
 def test_hoop_stress_frozen_value():
     # at the outer surface sigma_theta = (nu/2) dw(nu); for nu = 2, G = 1
     # that is 0.5 * 2 * 3.9375 = 3.9375
     geom = ShellGeometry(1.0, 2.0)
-    assert hoop_stress(2.0, geom, NeoHookean(1.0)) == 3.9375
+    assert fields_at(2.0, geom, NeoHookean(1.0)).sigma_theta == 3.9375
 
 
 def test_stress_state_is_hydrostatic_at_bead():
     # dw(1) = 0, so the deviatoric part vanishes exactly at r = r0
     geom = ShellGeometry(1.2, 3.1)
     e = NeoHookean(0.8)
-    assert hoop_stress(geom.r0, geom, e) == radial_stress(geom.r0, geom, e)
+    f = fields_at(geom.r0, geom, e)
+    assert f.sigma_theta == f.sigma_r
 
 
 def test_hoop_stress_changes_sign_once():
@@ -168,30 +191,24 @@ def test_profile_consistent_with_pointwise_evaluations():
     e = NeoHookean(2.3)
     prof = stress_profile(geom, e, 17)
     for i, r in enumerate(prof.r.tolist()):
-        assert prof.sigma_r[i] == pytest.approx(radial_stress(r, geom, e), abs=1e-14)
-        assert prof.sigma_theta[i] == pytest.approx(hoop_stress(r, geom, e), abs=1e-14)
-        lam_r, lam_t = stretches(r, geom.r0)
-        assert prof.lam_r[i] == lam_r and prof.lam_theta[i] == lam_t
+        f = fields_at(r, geom, e)
+        assert prof.sigma_r[i] == f.sigma_r and prof.sigma_theta[i] == f.sigma_theta
+        assert prof.lam_r[i] == f.lam_r and prof.lam_theta[i] == f.lam_theta
 
 
 def test_profile_arrays_match_scalar_fields():
-    # the array path and the scalar functions share their formulas: the
-    # stretches and the velocity agree exactly, the stresses to rounding
+    # fields_at at an array and at each of its floats gives the same bits
     rng = np.random.default_rng(5)
-    eps = np.finfo(float).eps
     for _ in range(30):
         r0 = rng.uniform(0.2, 3.0)
         geom = ShellGeometry(r0, r0 * rng.uniform(1.0, 4.0))
         e = NeoHookean(rng.uniform(0.2, 5.0))
         V0 = rng.uniform(-2.0, 2.0)
         prof = stress_profile(geom, e, int(rng.integers(2, 300)), V0=V0)
-        scale = 16.0 * eps * max(1.0, float(np.max(np.abs(prof.sigma_theta))))
         assert prof.sigma_r[-1] == 0.0
-        for i, r in enumerate(prof.r.tolist()):
-            assert abs(prof.sigma_r[i] - radial_stress(r, geom, e)) <= scale
-            assert abs(prof.sigma_theta[i] - hoop_stress(r, geom, e)) <= scale
-            assert (prof.lam_r[i], prof.lam_theta[i]) == stretches(r, geom.r0)
-            assert prof.v[i] == velocity(r, V0, geom.r0)
+        columns = np.array(dataclasses.astuple(prof)).T.tolist()
+        for r, row in zip(prof.r.tolist(), columns):
+            assert dataclasses.astuple(fields_at(r, geom, e, V0)) == tuple(row)
 
 
 def test_equilibrium_residual_second_order():
@@ -218,9 +235,10 @@ def test_outer_radius_rate():
 def test_stress_scales_linearly_with_modulus():
     geom = ShellGeometry(1.0, 1.8)
     e1, e2 = NeoHookean(1.1), NeoHookean(2.2)
-    for r in np.linspace(1.0, 1.8, 7):
-        assert radial_stress(r, geom, e2) == 2.0 * radial_stress(r, geom, e1)
-        assert hoop_stress(r, geom, e2) == 2.0 * hoop_stress(r, geom, e1)
+    for r in np.linspace(1.0, 1.8, 7).tolist():
+        f1, f2 = fields_at(r, geom, e1), fields_at(r, geom, e2)
+        assert f2.sigma_r == 2.0 * f1.sigma_r
+        assert f2.sigma_theta == 2.0 * f1.sigma_theta
 
 
 def test_bead_pressure_matches_energy_at_outer_stretch():
@@ -231,5 +249,5 @@ def test_bead_pressure_matches_energy_at_outer_stretch():
         G = rng.uniform(0.2, 5.0)
         geom = ShellGeometry(r0, nu * r0)
         e = NeoHookean(G)
-        p_bead = -radial_stress(r0, geom, e)
+        p_bead = -fields_at(r0, geom, e).sigma_r
         assert p_bead == pytest.approx(float(e.w(geom.nu)), rel=1e-12)
