@@ -11,6 +11,7 @@ error to track.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -55,6 +56,8 @@ class SteadyProfiles:
                 raise ValueError(f"{name} must be positive")
         if not self.r1 >= self.r0:
             raise ValueError("r1 must not be below r0")
+        if self.r1 == math.inf:
+            raise ValueError("r1 must be finite")
 
     def h(self, r, side: str | None = None):
         """Steady free-particle flux h(r), r >= r0.

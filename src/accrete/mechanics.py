@@ -10,6 +10,7 @@ samples them on a uniform grid.  Time never enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -29,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShellGeometry:
-    """Concentric spherical shell, r1 >= r0 > 0."""
+    """Concentric spherical shell, inf > r1 >= r0 > 0."""
 
     r0: float
     r1: float
@@ -39,6 +40,8 @@ class ShellGeometry:
             raise ValueError("inner radius r0 must be positive")
         if not self.r1 >= self.r0:
             raise ValueError("outer radius r1 must not be below r0")
+        if self.r1 == math.inf:
+            raise ValueError("outer radius r1 must be finite")
 
     @property
     def nu(self) -> float:
@@ -77,7 +80,13 @@ def radius_of_particle(Z: float, Z0: float, r0: float) -> float:
         raise ValueError("r0 must be positive")
     if not Z >= Z0:
         raise ValueError("Z < Z0: particle is not in the body")
-    return float(np.cbrt(r0**3 + 3.0 * r0**2 * (Z - Z0)))
+    try:
+        r = float(np.cbrt(r0**3 + 3.0 * r0**2 * (Z - Z0)))
+    except OverflowError:  # from r0**3 of a float
+        r = math.inf
+    if not math.isfinite(r):
+        raise ValueError("r0**3 + 3 r0**2 (Z - Z0) is out of the float range")
+    return r
 
 
 def fields_at(r, geom: ShellGeometry, energy: ReducedEnergy, V0: float | None = None):

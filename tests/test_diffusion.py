@@ -28,8 +28,9 @@ def test_transport_params_validation():
 
 
 def test_profiles_validation():
-    for r1 in (1.0, np.nan):
-        with pytest.raises(ValueError, match="^r1 must not be below r0$"):
+    for r1, message in ((1.0, "^r1 must not be below r0$"), (np.nan, "^r1 must not be below r0$"),
+                        (np.inf, "^r1 must be finite$")):
+        with pytest.raises(ValueError, match=message):
             SteadyProfiles(V0=1.0, V1=0.0, mu0=0.0, r0=2.0, r1=r1,
                            M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=0.0)
 

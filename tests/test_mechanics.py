@@ -49,6 +49,9 @@ def test_geometry_validation():
     for r0, r1 in ((2.0, 1.0), (1.0, np.nan)):
         with pytest.raises(ValueError, match="^outer radius r1 must not be below r0$"):
             ShellGeometry(r0, r1)
+    for r0 in (1.0, np.inf):
+        with pytest.raises(ValueError, match="^outer radius r1 must be finite$"):
+            ShellGeometry(r0, np.inf)
 
 
 def test_radius_of_particle_frozen_values():
@@ -81,6 +84,11 @@ def test_radius_of_particle_rejects_bad_input():
             radius_of_particle(Z, Z0, 1.0)
     with pytest.raises(ValueError, match="radius_of_particle takes one particle$"):
         radius_of_particle(np.array([1.0, 2.0]), 0.0, 1.0)
+    # an infinite coordinate, a cube or a sum that overflows: the last
+    # raised OverflowError from r0**3, the others returned inf
+    for Z, Z0, r0 in ((np.inf, 0.0, 1.0), (1e308, 0.0, 1.0), (1.0, 0.0, 1e200), (np.inf, np.inf, 1.0)):
+        with pytest.raises(ValueError, match=r"\(Z - Z0\) is out of the float range$"):
+            radius_of_particle(Z, Z0, r0)
 
 
 def test_radius_is_increasing_in_deposited_volume():
