@@ -89,7 +89,9 @@ def radius_of_particle(Z: float, Z0: float, r0: float) -> float:
     return r
 
 
-def fields_at(r, geom: ShellGeometry, energy: ReducedEnergy, V0: float | None = None):
+def fields_at(
+    r, geom: ShellGeometry, energy: ReducedEnergy, V0: float | None = None
+) -> FieldSample:
     """The fields at r, a float or a float64 array of radii in [r0, r1].
 
     lam_theta = r/r0 and lam_r = (r0/r)**2, so lam_r lam_theta**2 = 1.

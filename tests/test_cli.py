@@ -434,8 +434,11 @@ def test_profiles_of_a_huge_bead_end_without_traceback(child_env, r0, fmt):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("command", ["solve", "profiles"])
+@pytest.mark.parametrize(
+    "command, fmt",
+    [("solve", "csv"), ("solve", "json"), ("profiles", "csv"), ("profiles", "json")],
+    ids=["csv", "json", "profiles-csv", "profiles-json"],
+)
 def test_solve_nonfinite_value_is_numeric_failure(capsys, command, fmt):
     # nu is about 2.28, so r1 = nu r0 and d overflow to inf
     argv = [command, "--format", fmt, "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=5.53125"]

@@ -84,8 +84,7 @@ def test_radius_of_particle_rejects_bad_input():
             radius_of_particle(Z, Z0, 1.0)
     with pytest.raises(ValueError, match="radius_of_particle takes one particle$"):
         radius_of_particle(np.array([1.0, 2.0]), 0.0, 1.0)
-    # an infinite coordinate, a cube or a sum that overflows: the last
-    # raised OverflowError from r0**3, the others returned inf
+    # an infinite coordinate, an overflowing sum, an overflowing r0**3
     for Z, Z0, r0 in ((np.inf, 0.0, 1.0), (1e308, 0.0, 1.0), (1.0, 0.0, 1e200), (np.inf, np.inf, 1.0)):
         with pytest.raises(ValueError, match=r"\(Z - Z0\) is out of the float range$"):
             radius_of_particle(Z, Z0, r0)
@@ -122,7 +121,7 @@ def test_velocity_conserves_volume_flux():
     r0, V0 = 1.7, 2.2
     geom, e = ShellGeometry(r0, 8.0), NeoHookean(1.0)
     r = np.linspace(r0, 8.0, 60)
-    q = np.array([ri**2 * fields_at(ri, geom, e, V0).v for ri in r.tolist()])
+    q = np.array([ri**2 * fields_at(ri, geom, e, V0).v for ri in r])
     assert np.ptp(q) <= 1e-12 * abs(q[0])
     assert fields_at(r0, geom, e, V0).v == V0
 
@@ -139,7 +138,7 @@ def test_radial_stress_is_compressive_inside():
     geom = ShellGeometry(0.5, 1.9)
     e = NeoHookean(3.0)
     r = np.linspace(geom.r0, geom.r1, 40)
-    s = np.array([fields_at(ri, geom, e).sigma_r for ri in r.tolist()])
+    s = np.array([fields_at(ri, geom, e).sigma_r for ri in r])
     assert np.all(s[:-1] < 0.0)
     assert s[-1] == 0.0
     assert np.all(np.diff(s) > 0.0)
@@ -243,7 +242,7 @@ def test_outer_radius_rate():
 def test_stress_scales_linearly_with_modulus():
     geom = ShellGeometry(1.0, 1.8)
     e1, e2 = NeoHookean(1.1), NeoHookean(2.2)
-    for r in np.linspace(1.0, 1.8, 7).tolist():
+    for r in np.linspace(1.0, 1.8, 7):
         f1, f2 = fields_at(r, geom, e1), fields_at(r, geom, e2)
         assert f2.sigma_r == 2.0 * f1.sigma_r
         assert f2.sigma_theta == 2.0 * f1.sigma_theta
