@@ -14,19 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .strain_energy import _elementwise
+
 __all__ = [
     "SteadyProfiles",
     "interface_residuals",
 ]
-
-
-def _selectors(r):
-    """r with its (where, all): Python's for a float r, so that numpy is not
-    imported; numpy's for anything else, taken as a float64 array."""
-    if isinstance(r, float):
-        return r, (lambda x, a, b: a if x else b), bool
-    import numpy as np
-    return np.asarray(r, dtype=float), np.where, np.all
 
 
 @dataclass(frozen=True)
@@ -69,11 +62,11 @@ class SteadyProfiles:
         float, an array an array.
         """
         p = self
-        r, where, all_ = _selectors(r)
+        r, where, any_, all_ = _elementwise(r)
         if not all_(r >= p.r0):
             raise ValueError("r < r0: no flux defined inside the bead")
         at_r1 = r == p.r1
-        if not all_(r != p.r1) and side not in ("below", "above"):
+        if any_(at_r1) and side not in ("below", "above"):
             raise ValueError('flux jumps at r1; pass side="below" or side="above"')
         inside = (r < p.r1) | (at_r1 & (side == "below"))
         q = p.r0 / r
@@ -94,7 +87,7 @@ class SteadyProfiles:
         array.
         """
         p = self
-        r, where, all_ = _selectors(r)
+        r, where, _, all_ = _elementwise(r)
         if not all_(r >= p.r0):
             raise ValueError("r < r0: no potential defined inside the bead")
         inner = p.mu0 + (p.rhoR * p.r0 * p.V0 / p.M_inner) * (1.0 - p.r0 / r)

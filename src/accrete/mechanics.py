@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .strain_energy import ReducedEnergy
+from .strain_energy import ReducedEnergy, _elementwise
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShellGeometry:
-    """Concentric spherical shell, inf > r1 >= r0 > 0."""
+    """Concentric spherical shell, inf > r1 >= r0 > 0, with r1/r0 finite."""
 
     r0: float
     r1: float
@@ -42,6 +42,8 @@ class ShellGeometry:
             raise ValueError("outer radius r1 must not be below r0")
         if self.r1 == math.inf:
             raise ValueError("outer radius r1 must be finite")
+        if not math.isfinite(self.r1 / self.r0):
+            raise ValueError("radius ratio r1/r0 is out of the float range")
 
     @property
     def nu(self) -> float:
@@ -101,25 +103,14 @@ def fields_at(
     dw(1) = 0.  The velocity v = V0 (r0/r)**2 keeps r**2 v constant; it is
     None unless V0 is given.
 
-    A float r gives floats and an array arrays, with the same bits.  An
-    array calls w once, on lam_theta with nu appended, so that wherever
-    r == r1, sigma_r is w(nu) - w(nu) = 0 exactly, as for a float.
+    A float r gives floats and an array arrays, with the same bits.
     """
-    if isinstance(r, float):
-        inside = geom.r0 <= r <= geom.r1
-    else:
-        import numpy as np
-        inside = np.all(r >= geom.r0) and np.all(r <= geom.r1)
-    if not inside:
+    x, _, _, all_ = _elementwise(r)
+    if not all_((x >= geom.r0) & (x <= geom.r1)):
         raise ValueError("r outside the shell [r0, r1]")
     lam, q = r / geom.r0, geom.r0 / r
     lam_r = q * q  # a product rounds alike for floats and arrays; libm pow may not
-    if isinstance(lam, float):
-        w, w1 = energy.w(lam), energy.w(geom.nu)
-    else:
-        w = energy.w(np.append(lam, geom.nu))
-        w, w1 = w[:-1], w[-1]
-    sig_r = w - w1
+    sig_r = energy.w(lam) - energy.w(geom.nu)
     sig_t = sig_r + 0.5 * lam * energy.dw(lam)
     return FieldSample(r, lam_r, lam, sig_r, sig_t, None if V0 is None else V0 * lam_r)
 

@@ -34,13 +34,19 @@ __all__ = [
 ]
 
 
+def _elementwise(x):
+    """x with its (where, any, all): Python's for a float x (np.float64 too,
+    which subclasses float), so that numpy is not imported; numpy's for
+    anything else, taken as a float64 array."""
+    if isinstance(x, float):
+        return x, (lambda c, a, b: a if c else b), bool, bool
+    import numpy as np
+    return np.asarray(x, dtype=float), np.where, np.any, np.all
+
+
 def _check_positive_stretch(lam) -> None:
-    if isinstance(lam, float):  # np.float64 too: it subclasses float
-        bad = lam <= 0.0
-    else:
-        import numpy as np
-        bad = np.any(np.asarray(lam) <= 0.0)
-    if bad:
+    lam, _, any_, _ = _elementwise(lam)
+    if any_(lam <= 0.0):
         raise ValueError("stretch must be positive")
 
 
@@ -48,6 +54,9 @@ class ReducedEnergy:
     """Base interface: subclasses provide w, dw and d2w for lam > 0.
 
     Methods operate elementwise, so plain floats and numpy arrays both work.
+    A float must give the same bits as that float inside a float64 array:
+    solve_eta matches solve bit for bit only then, and fields_at's
+    sigma_r = w(lam) - w(nu) is exactly 0 at r1 only then.
     """
 
     def w(self, lam):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .strain_energy import ReducedEnergy, _geomspace
+from .strain_energy import ReducedEnergy, _elementwise, _geomspace
 
 __all__ = [
     "ModelParams",
@@ -222,12 +222,8 @@ def _solvable_scales(params: ModelParams) -> tuple[float, float, float, float, f
 
 
 def _check_lam(lam) -> None:
-    if isinstance(lam, float):  # np.float64 too: it subclasses float
-        bad = lam < 1.0
-    else:
-        import numpy as np
-        bad = np.any(np.asarray(lam) < 1.0)
-    if bad:
+    lam, _, any_, _ = _elementwise(lam)
+    if any_(lam < 1.0):
         raise ValueError("lam must be >= 1")
 
 

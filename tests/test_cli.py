@@ -400,6 +400,8 @@ def test_nonfinite_output_is_numeric_failure(argv, child_env):
         ["sweep", "--set", "kinetics.b0=1e300", "--set", "kinetics.b1=1e-300",
          "--set", "chem.muR0=5e-324", "--set", "chem.muR1=2.5", "--set", "chem.mu_inf=2.5",
          "--points", "3"],
+        # r1/r0 = 1/5e-324 overflows in the shell geometry
+        ["profiles", "--r1", "1", "--set", "geom.r0=5e-324"],
     ],
 )
 def test_underflowing_kinetic_scale_is_input_error(argv, child_env):

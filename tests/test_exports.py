@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import accrete
 
@@ -19,3 +20,9 @@ def test_package_exports_only_what_its_modules_export():
     for name in accrete.__all__:
         assert name in exported, name
         assert getattr(accrete, name) is exported[name], name
+
+
+def test_source_stays_within_its_line_budget():
+    sources = Path(accrete.__file__).parent.glob("*.py")
+    lines = sum(len(path.read_text().splitlines()) for path in sources)
+    assert lines <= 1920, f"src/accrete/*.py has {lines} lines, over the 1 920 that ROADMAP item 7 allows"

@@ -52,6 +52,8 @@ def test_geometry_validation():
     for r0 in (1.0, np.inf):
         with pytest.raises(ValueError, match="^outer radius r1 must be finite$"):
             ShellGeometry(r0, np.inf)
+    with pytest.raises(ValueError, match="^radius ratio r1/r0 is out of the float range$"):
+        ShellGeometry(5e-324, 1.0)
 
 
 def test_radius_of_particle_frozen_values():

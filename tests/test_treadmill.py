@@ -374,6 +374,8 @@ GEOM = np.geomspace(1e-6, 1e6, 2500)
     ],
 )
 def test_solve_eta_matches_solve_bit_for_bit(kw, etas):
+    """solve_eta, and the float rows of _solve_rows, match solve in all
+    nine fields."""
     p = make_params(**kw)
     ell = compute_scales(p).ellStar
     table = solve_eta(p, etas)
@@ -383,6 +385,9 @@ def test_solve_eta_matches_solve_bit_for_bit(kw, etas):
         [dataclasses.astuple(solve(dataclasses.replace(p, r0=eta * ell))) for eta in etas.tolist()]
     )
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    rows = np.array([dataclasses.astuple(st) for st in treadmill._solve_rows(p, etas.tolist())])
+    assert rows.shape == (len(etas), 9)
+    np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
 
 
 def test_solve_eta_where_one_plus_eta_times_the_drive_overflows():
