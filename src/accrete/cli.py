@@ -126,7 +126,6 @@ class RunConfig:
     linear: bool = False
     grid_n: int = 101
     r1: float | None = None
-    v0: float | None = None
     params: treadmill.ModelParams = field(init=False, repr=False, compare=False)
     scales: treadmill.Scales = field(init=False, repr=False, compare=False)
 
@@ -370,12 +369,8 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
     """Solved state (None with --r1) and the profile columns, in PROFILE_FIELDS order."""
     if cfg.grid_n < 2:
         raise ConfigError("need at least 2 profile points")
-    for name in ("r1", "v0"):
-        value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{name} must be finite")
-    if cfg.v0 == 0.0:
-        raise ConfigError("--v0 must be nonzero: v/V0 has no value at V0 = 0")
+    if cfg.r1 is not None and not math.isfinite(cfg.r1):
+        raise ConfigError("--r1 must be finite")
     energy = cfg.params.energy
     gscale = strain_energy.modulus_scale(energy)
     state = None
@@ -402,12 +397,11 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
         radii = strain_energy._linspace(geom.r0, geom.r1, cfg.grid_n)
         cols = [[*x] for x in zip(*(cells(mechanics.fields_at(r, geom, energy)) for r in radii))]
         append = list.__add__
-    # v/V0 = (r0/r)**2 in closed form, defined also where the solved V0 rounds to 0
-    v = [] if state is None and cfg.v0 is None else cols[3]
+    # v/V0 = (r0/r)**2 = lam_r, defined also where the solved V0 rounds to 0
     if state is None:
         # Mechanics-only mode: geometry given directly, no chemistry attached,
         # so side, h and mu are empty.
-        return None, [cols[0], [], *cols[1:5], v, [], []]
+        return None, [cols[0], [], *cols[1:5], cols[3], [], []]
     # The flux jumps at the outer surface: the samples at r1 take the inside
     # limit, and one more row at r1 the outside limit, where the mechanical
     # columns end.
@@ -415,7 +409,7 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
     side = ["below" if at else None for at in at_r1] + ["above"]
     h = append(h, [profiles.h(state.r1, side="above")])
     mu = append(mu, [profiles.mu(state.r1)])
-    return state, [append(cols[0], [state.r1]), side, *cols[1:5], v, h, mu]
+    return state, [append(cols[0], [state.r1]), side, *cols[1:5], cols[3], h, mu]
 
 
 def cmd_profiles(cfg: RunConfig) -> int:
@@ -531,11 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--r1",
         type=float,
         help="outer radius for mechanics-only profiles (skips the solve)",
-    )
-    p_prof.add_argument(
-        "--v0",
-        type=float,
-        help="accretion speed for the velocity column in mechanics-only mode",
     )
 
     p_val = sub.add_parser("validate", help="energy checks and uniqueness oracle")

@@ -56,8 +56,8 @@ class FieldSample:
     """Mechanical fields sampled at the radii r, one float64 array per
     field (one float per field at a single radius).
 
-    The velocity v needs an accretion speed, so it is None unless one is
-    given.  The transport fields of a solved state come from
+    The velocity at an accretion speed V0 is V0 * lam_r: incompressibility
+    keeps r**2 v = r0**2 V0.  The transport fields of a solved state come from
     diffusion.SteadyProfiles.
     """
 
@@ -66,7 +66,6 @@ class FieldSample:
     lam_theta: np.ndarray
     sigma_r: np.ndarray
     sigma_theta: np.ndarray
-    v: np.ndarray | None = None
 
 
 def radius_of_particle(Z: float, Z0: float, r0: float) -> float:
@@ -91,17 +90,14 @@ def radius_of_particle(Z: float, Z0: float, r0: float) -> float:
     return r
 
 
-def fields_at(
-    r, geom: ShellGeometry, energy: ReducedEnergy, V0: float | None = None
-) -> FieldSample:
+def fields_at(r, geom: ShellGeometry, energy: ReducedEnergy) -> FieldSample:
     """The fields at r, a float or a float64 array of radii in [r0, r1].
 
     lam_theta = r/r0 and lam_r = (r0/r)**2, so lam_r lam_theta**2 = 1.
     sigma_r = w(lam_theta) - w(nu) is nonpositive: zero at the
     traction-free outer surface and -w(nu) at the bead.  sigma_theta =
     sigma_r + (1/2) lam_theta dw(lam_theta) equals it at the bead, where
-    dw(1) = 0.  The velocity v = V0 (r0/r)**2 keeps r**2 v constant; it is
-    None unless V0 is given.
+    dw(1) = 0.
 
     A float r gives floats and an array arrays, with the same bits.
     """
@@ -112,21 +108,16 @@ def fields_at(
     lam_r = q * q  # a product rounds alike for floats and arrays; libm pow may not
     sig_r = energy.w(lam) - energy.w(geom.nu)
     sig_t = sig_r + 0.5 * lam * energy.dw(lam)
-    return FieldSample(r, lam_r, lam, sig_r, sig_t, None if V0 is None else V0 * lam_r)
+    return FieldSample(r, lam_r, lam, sig_r, sig_t)
 
 
-def stress_profile(
-    geom: ShellGeometry,
-    energy: ReducedEnergy,
-    n: int,
-    V0: float | None = None,
-) -> FieldSample:
+def stress_profile(geom: ShellGeometry, energy: ReducedEnergy, n: int) -> FieldSample:
     """Sample the shell uniformly in r with n points.
 
     Every field is a float64 array of length n; r[-1] is r1 exactly, so
-    sigma_r[-1] is 0.  Velocity is filled only when V0 is given.
+    sigma_r[-1] is 0.
     """
     import numpy as np
     if n < 2:
         raise ValueError("need at least 2 sample points")
-    return fields_at(np.linspace(geom.r0, geom.r1, n), geom, energy, V0)
+    return fields_at(np.linspace(geom.r0, geom.r1, n), geom, energy)

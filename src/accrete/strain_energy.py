@@ -90,12 +90,12 @@ class NeoHookean(ReducedEnergy):
     Parameters
     ----------
     G : float
-        Shear modulus, stress units, G > 0.
+        Shear modulus, stress units, inf > G > 0.
     """
 
     def __init__(self, G: float):
-        if not G > 0.0:
-            raise ValueError("shear modulus G must be positive")
+        if not 0.0 < G < math.inf:
+            raise ValueError("shear modulus G must be positive and finite")
         self.G = float(G)
 
     def __repr__(self) -> str:
@@ -186,7 +186,7 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
     ----------
     energy : ReducedEnergy
     lam_min, lam_max : float
-        Grid bounds, 0 < lam_min < 1 < lam_max.
+        Grid bounds, 0 < lam_min < 1 < lam_max < inf.
     n : int
         Number of grid points, n >= 3.
 
@@ -195,8 +195,8 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
     ValidationReport
         One CheckResult per assumption; report.ok is the conjunction.
     """
-    if not (0.0 < lam_min < 1.0 < lam_max):
-        raise ValueError("grid bounds must satisfy 0 < lam_min < 1 < lam_max")
+    if not (0.0 < lam_min < 1.0 < lam_max < math.inf):
+        raise ValueError("grid bounds must satisfy 0 < lam_min < 1 < lam_max < inf")
     if n < 3:
         raise ValueError("need at least 3 grid points")
 

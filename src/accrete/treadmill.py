@@ -553,8 +553,8 @@ def grid_scan_oracle(
     anything else signals an inconsistency.
     """
     Vstar, Vstarstar, _, _, eta = _solvable_scales(params)
-    if not lam_max > 1.0:
-        raise ValueError("lam_max must exceed 1")
+    if not 1.0 < lam_max < math.inf:
+        raise ValueError("lam_max must exceed 1 and be finite")
     if n < 100:
         raise ValueError("need at least 100 scan points")
     lam = [1.0, *(1.0 + u for u in _geomspace((lam_max - 1.0) * 1e-13, lam_max - 1.0, n))]
@@ -617,11 +617,14 @@ def large_bead_asymptote(
     bsum = params.b0 + params.b1
     if Vstarstar > 0.0:
         d_est = (Vstar / Vstarstar - 1.0) / eta
-        return d_est, Vstarstar, params.mu_inf + bsum * (Vstarstar - Vstar) / params.rhoR
-    if Vstarstar == 0.0:
+        est = d_est, Vstarstar, params.mu_inf + bsum * (Vstarstar - Vstar) / params.rhoR
+    elif Vstarstar == 0.0:
         return None, 0.0, params.mu_inf - bsum * Vstar / params.rhoR
-    nu2 = _root_of_w(params.energy, params.b1, -Vstarstar)
-    if nu2 == 1.0:  # nu2 - 1 is below one ulp, and V0 would divide by zero
-        raise ValueError("large-bead shell thickness nu2 - 1 is out of the float range")
-    V0_est = Vstar / (1.0 - 1.0 / nu2) / eta
-    return nu2 - 1.0, V0_est, params.mu_inf + params.muR0 - params.muR1
+    else:
+        nu2 = _root_of_w(params.energy, params.b1, -Vstarstar)
+        if nu2 == 1.0:  # nu2 - 1 is below one ulp, and V0 would divide by zero
+            raise ValueError("large-bead shell thickness nu2 - 1 is out of the float range")
+        est = nu2 - 1.0, Vstar / (1.0 - 1.0 / nu2) / eta, params.mu_inf + params.muR0 - params.muR1
+    if not all(map(math.isfinite, est)):  # the estimate grows like 1/eta
+        raise ValueError("large-bead estimate is out of the float range")
+    return est

@@ -201,6 +201,23 @@ def test_readme_config_table_is_the_run_config_table():
     assert table == keys
 
 
+def test_parser_options_are_the_run_config_options():
+    # every command option sets the RunConfig field of its name, with its default
+    options = {
+        f.name: f.default
+        for f in dataclasses.fields(cli.RunConfig)
+        if f.init and "key" not in f.metadata
+    }
+    parser, seen = cli._build_parser(), set()
+    for command in ("solve", "sweep", "profiles", "validate"):
+        args = vars(parser.parse_args([command]))
+        for name in ("command", "config", "set"):
+            del args[name]
+        assert args == {name: options.get(name, "no field") for name in args}
+        seen |= args.keys()
+    assert seen == options.keys()
+
+
 @pytest.mark.parametrize("rhoR", ["1e-200", "1e200"])
 def test_scales_out_of_float_range_is_input_error(capsys, rhoR):
     # rhoR**2 underflows to zero or overflows, and ellStar with it
@@ -353,8 +370,6 @@ def test_sweep_rows_out_of_float_range(capsys, argv, message):
         ["sweep", "--eta-min", "nan"],
         ["profiles", "--r1", "inf"],
         ["profiles", "--r1", "nan"],
-        ["profiles", "--r1", "2.0", "--v0", "inf"],
-        ["profiles", "--r1", "2.0", "--v0", "nan"],
     ],
 )
 def test_nonfinite_options_are_input_errors(capsys, argv):
@@ -475,14 +490,6 @@ def test_profiles_where_the_solved_speed_rounds_to_zero(capsys, grid_n):
     assert rows[0]["v_over_V0"] == "1"
 
 
-def test_zero_speed_is_input_error(capsys):
-    # v_over_V0 = v/V0 has no value when V0 = 0
-    code, out, err = run(capsys, ["profiles", "--r1", "2.0", "--v0", "0"])
-    assert code == 2
-    assert out == ""
-    assert "--v0 must be nonzero" in err
-
-
 def test_sweep_estimates_match_library(capsys):
     for mu_inf in ("2.5", "5.53125"):
         code, out, _ = run(capsys, ["sweep", "--points", "9", "--set", f"chem.mu_inf={mu_inf}"])
@@ -523,7 +530,7 @@ def run_on(capsys, monkeypatch, path, argv):
         ["profiles", "--format", "json"],
         ["profiles", "--set", "chem.mu_inf=1.500000000001", "--set", "geom.r0=1e6"],  # thin shell
         ["profiles", "--r1", "2.5"],
-        ["profiles", "--r1", "2.5", "--v0", "0.5", "--format", "json"],
+        ["profiles", "--r1", "2.5", "--format", "json"],
     ],
 )
 def test_float_and_array_paths_write_the_same_bytes(capsys, monkeypatch, argv, size):
@@ -659,19 +666,9 @@ def test_profiles_override_mode(capsys):
     _, rows = read_csv(out)
     assert len(rows) == 5  # no extra outside row without a solved state
     assert all(r["side"] == "" and r["h"] == "" and r["mu"] == "" for r in rows)
-    assert all(r["v_over_V0"] == "" for r in rows)
+    assert all(r["v_over_V0"] == r["lam_r"] for r in rows)
     assert float(rows[0]["sigma_r_over_G"]) == -2.53125
     assert rows[-1]["sigma_r_over_G"] == "0"
-
-
-def test_profiles_override_mode_with_speed(capsys):
-    code, out, _ = run(
-        capsys, ["profiles", "--r1", "2.0", "--grid-n", "5", "--v0", "2.0"]
-    )
-    assert code == 0
-    _, rows = read_csv(out)
-    for row in rows:
-        assert row["v_over_V0"] == row["lam_r"]
 
 
 def test_profiles_json_state(capsys):
@@ -687,6 +684,14 @@ def test_profiles_json_state(capsys):
     )
     doc = json.loads(out)
     assert doc["state"] is None
+
+
+def test_speed_is_no_profiles_option(capsys):
+    # v_over_V0 = lam_r whatever the accretion speed, so none is taken
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profiles", "--r1", "2", "--v0", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --v0 1" in capsys.readouterr().err
 
 
 def test_profiles_bad_geometry(capsys):
@@ -776,7 +781,7 @@ def test_validate_json(capsys):
     [
         ["profiles", "--grid-n", "7"],
         ["profiles", "--grid-n", "7", "--r1", "2.0"],
-        ["profiles", "--grid-n", "7", "--r1", "2.0", "--v0", "0.5"],
+        ["profiles", "--grid-n", "7", "--r1", "1.0"],  # r1 = r0: a shell of no thickness
         ["sweep", "--points", "5"],
         ["sweep", "--points", "5", "--set", "chem.mu_inf=5.53125"],
         ["solve"],
@@ -897,7 +902,7 @@ def test_writer_raises_on_a_nonfinite_cell_in_any_column(table, data):
         ["sweep", "--points", "40", "--set", "chem.mu_inf=10"],  # no diffusion-limited estimate
         ["profiles", "--grid-n", "40"],  # one more row at r1, of transport only
         ["profiles", "--grid-n", "40", "--r1", "2.0"],
-        ["profiles", "--grid-n", "40", "--r1", "2.0", "--v0", "0.5"],
+        ["profiles", "--grid-n", "40", "--r1", "1.0"],  # r1 = r0: a shell of no thickness
         ["solve"],
         ["validate"],
     ],

@@ -58,8 +58,8 @@ def chemistries(n, seed=20261019):
 
 
 def corpus_argv():
-    """Every command in CSV and JSON, profiles with --r1 and --v0, each side
-    of cli._ARRAY_ROWS, and the edge runs of test_cli."""
+    """Every command in CSV and JSON, profiles with --r1 (one of them a
+    thin shell), each side of cli._ARRAY_ROWS, and the edge runs of test_cli."""
     rng = random.Random(7)
     argv = []
     for i, chem in enumerate(chemistries(18)):
@@ -68,9 +68,9 @@ def corpus_argv():
             argv += [[command, *chem], [command, *chem, "--format", "json"]]
         r0 = float(chem[-1].split("=")[1])
         r1 = ["--r1", repr(r0 * rng.uniform(1.0, 4.0))]
-        v0 = ["--v0", repr(rng.uniform(-2.0, 2.0))]
+        thin = ["--r1", repr(r0 * rng.uniform(1.0, 1.001))]
         argv += [["profiles", *chem, *r1], ["profiles", *chem, *r1, "--format", "json"],
-                 ["profiles", *chem, *r1, *v0, *fmt]]
+                 ["profiles", *chem, *thin, *fmt]]
         for rows in (cli._ARRAY_ROWS, cli._ARRAY_ROWS + 1):
             argv += [["sweep", *chem, "--points", str(rows), *fmt],
                      ["profiles", *chem, "--grid-n", str(rows), *fmt]]

@@ -69,7 +69,7 @@ def test_domain_errors(bad):
         e.d2w(bad)
 
 
-@pytest.mark.parametrize("G", [0.0, -2.0])
+@pytest.mark.parametrize("G", [0.0, -2.0, math.inf])
 def test_modulus_must_be_positive(G):
     with pytest.raises(ValueError):
         NeoHookean(G)
@@ -367,7 +367,7 @@ def test_validate_flags_growth_that_is_not_monotone():
 
 @pytest.mark.parametrize(
     "lam_min, lam_max, n",
-    [(1.5, 10.0, 100), (0.1, 0.9, 100), (-0.1, 10.0, 100), (0.1, 10.0, 2)],
+    [(1.5, 10.0, 100), (0.1, 0.9, 100), (-0.1, 10.0, 100), (0.1, 10.0, 2), (0.1, math.inf, 100)],
 )
 def test_validate_rejects_bad_grid(lam_min, lam_max, n):
     with pytest.raises(ValueError):

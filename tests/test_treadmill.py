@@ -508,6 +508,8 @@ def test_oracle_argument_validation():
         grid_scan_oracle(p, 0.9, 500)
     with pytest.raises(ValueError):
         grid_scan_oracle(p, 4.0, 50)
+    with pytest.raises(ValueError):
+        grid_scan_oracle(p, math.inf, 100)
     with pytest.raises(NoTreadmillingState):
         grid_scan_oracle(make_params(muR1=-1.0), 4.0, 500)
 
@@ -633,6 +635,9 @@ def test_large_bead_balanced_bath():
 def test_large_bead_argument_validation():
     with pytest.raises(ValueError):
         large_bead_asymptote(make_params(), 0.0)
+    for mu_inf in (2.5, 5.53125):  # Vstarstar > 0, where d_est is inf, and < 0, where V0_est is
+        with pytest.raises(ValueError, match="out of the float range"):
+            large_bead_asymptote(make_params(mu_inf=mu_inf), 1e-320)
     with pytest.raises(NoTreadmillingState):
         large_bead_asymptote(make_params(muR1=-1.0), 10.0)
 
