@@ -102,9 +102,8 @@ class RunConfig:
 
     The fields that carry a config key are the only definition of the keys
     and their defaults, in the order of the JSON params block.  Building a
-    RunConfig builds the energy, the ModelParams and the Scales, and checks
-    M_outer, which only profiles reads, so every command rejects a bad value
-    in the same way.
+    RunConfig builds the energy, the ModelParams and the Scales, so every
+    command rejects a bad value in the same way.
     """
 
     energy_kind: str = _key("energy.kind", "neo-hookean")
@@ -116,7 +115,6 @@ class RunConfig:
     mu_inf: float = _key("chem.mu_inf", 2.5)
     rhoR: float = _key("chem.rhoR", 1.0)
     M_inner: float = _key("transport.M_inner", 1.0)
-    M_outer: float = _key("transport.M_outer", 1.0)
     r0: float = _key("geom.r0", 1.0)
     out: str | None = None
     fmt: str = "csv"
@@ -148,8 +146,6 @@ class RunConfig:
             M=self.M_inner,
             r0=self.r0,
         )
-        if not self.M_outer > 0.0:
-            raise ValueError("M_outer must be positive")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "scales", treadmill.compute_scales(params))
 
@@ -378,9 +374,10 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
         state = treadmill.solve(cfg.params)
         if not math.isfinite(state.r1):  # r1 = nu r0 overflows for a bead near the float range
             raise NumericFailure(f"non-finite value in the output: r1 = {state.r1!r}")
-        profiles = diffusion.SteadyProfiles(state.V0, state.V1, state.mu0, cfg.r0, state.r1,
-                                            cfg.M_inner, cfg.M_outer, cfg.rhoR, cfg.mu_inf)
     geom = mechanics.ShellGeometry(cfg.r0, cfg.r1 if state is None else state.r1)
+    # M_inner stands in for the outer mobility, which multiplies V0 + V1 = 0: no output reads it
+    profiles = None if state is None else diffusion.SteadyProfiles(
+        state.V0, state.V1, state.mu0, geom, cfg.M_inner, cfg.M_inner, cfg.rhoR, cfg.mu_inf)
 
     def cells(f):  # at one radius (floats) or at every radius (arrays)
         cols = [f.r, f.sigma_r / gscale, f.sigma_theta / gscale, f.lam_r, f.lam_theta]

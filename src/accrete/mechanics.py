@@ -101,12 +101,14 @@ def fields_at(r, geom: ShellGeometry, energy: ReducedEnergy) -> FieldSample:
 
     A float r gives floats and an array arrays, with the same bits.
     """
-    x, _, _, all_ = _elementwise(r)
-    if not all_((x >= geom.r0) & (x <= geom.r1)):
+    r, _, _, all_ = _elementwise(r)
+    if not all_((r >= geom.r0) & (r <= geom.r1)):
         raise ValueError("r outside the shell [r0, r1]")
+    if not math.isfinite(w_nu := energy.w(geom.nu)):  # sigma_r would be NaN
+        raise ValueError("energy w(nu) of the shell is out of the float range")
     lam, q = r / geom.r0, geom.r0 / r
     lam_r = q * q  # a product rounds alike for floats and arrays; libm pow may not
-    sig_r = energy.w(lam) - energy.w(geom.nu)
+    sig_r = energy.w(lam) - w_nu
     sig_t = sig_r + 0.5 * lam * energy.dw(lam)
     return FieldSample(r, lam_r, lam, sig_r, sig_t)
 

@@ -35,19 +35,20 @@ __all__ = [
 
 
 def _elementwise(x):
-    """x with its (where, any, all): Python's for a float x (np.float64 too,
-    which subclasses float), so that numpy is not imported; numpy's for
-    anything else, taken as a float64 array."""
-    if isinstance(x, float):
+    """x with its (where, any, all): Python's for a float (np.float64 too)
+    or an int x, so that numpy is not imported; numpy's for anything else,
+    taken as a float64 array, which the caller computes on."""
+    if isinstance(x, (float, int)):
         return x, (lambda c, a, b: a if c else b), bool, bool
     import numpy as np
     return np.asarray(x, dtype=float), np.where, np.any, np.all
 
 
-def _check_positive_stretch(lam) -> None:
+def _check_positive_stretch(lam):
     lam, _, any_, _ = _elementwise(lam)
     if any_(lam <= 0.0):
         raise ValueError("stretch must be positive")
+    return lam
 
 
 class ReducedEnergy:
@@ -103,13 +104,13 @@ class NeoHookean(ReducedEnergy):
 
     def w(self, lam):
         if not (isinstance(lam, float) and lam > 0.0):
-            _check_positive_stretch(lam)
+            lam = _check_positive_stretch(lam)
         y = (lam - 1.0) / lam * ((lam + 1.0) / lam)
         return 0.5 * self.G * (y * y * (2.0 * (lam * lam) + 1.0))
 
     def dw(self, lam):
         if not (isinstance(lam, float) and lam > 0.0):
-            _check_positive_stretch(lam)
+            lam = _check_positive_stretch(lam)
         l2 = lam * lam
         try:
             return 2.0 * (self.G * (lam - 1.0 / (l2 * l2 * lam)))
@@ -117,7 +118,7 @@ class NeoHookean(ReducedEnergy):
             return -math.inf
 
     def d2w(self, lam):
-        _check_positive_stretch(lam)
+        lam = _check_positive_stretch(lam)
         q = 1.0 / lam
         q2 = q * q
         return 2.0 * (self.G * (1.0 + 5.0 * (q2 * q2 * q2)))

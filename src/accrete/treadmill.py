@@ -221,10 +221,11 @@ def _solvable_scales(params: ModelParams) -> tuple[float, float, float, float, f
     return s
 
 
-def _check_lam(lam) -> None:
+def _check_lam(lam):
     lam, _, any_, _ = _elementwise(lam)
     if any_(lam < 1.0):
         raise ValueError("lam must be >= 1")
+    return lam
 
 
 def g(eta: float, lam: float, Vstar: float):
@@ -233,7 +234,7 @@ def g(eta: float, lam: float, Vstar: float):
     Strictly decreasing in lam for eta > 0.  The factor is evaluated as
     (lam - 1)/lam, which is exact near lam = 1 where 1 - 1/lam cancels.
     """
-    _check_lam(lam)
+    lam = _check_lam(lam)
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
     return Vstar / (1.0 + eta * (lam - 1.0) / lam)
@@ -241,7 +242,7 @@ def g(eta: float, lam: float, Vstar: float):
 
 def h(lam: float, Vstarstar: float, b1: float, energy: ReducedEnergy):
     """Demand-side curve h = Vstarstar + w(lam)/b1; increasing, unbounded."""
-    _check_lam(lam)
+    lam = _check_lam(lam)
     return Vstarstar + energy.w(lam) / b1
 
 
@@ -593,7 +594,10 @@ def small_bead_quadratic(params: ModelParams) -> float:
     drive = (params.mu_inf - muStar) * params.rhoR
     if drive < 0.0:
         raise ValueError("estimate needs mu_inf >= muStar")
-    return math.sqrt(2.0 * drive / d2w1)
+    est = math.sqrt(2.0 * drive / d2w1)
+    if not math.isfinite(est):
+        raise ValueError("small-bead estimate is out of the float range")
+    return est
 
 
 def large_bead_asymptote(

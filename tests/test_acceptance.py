@@ -346,7 +346,8 @@ def test_c08_back_substituted_residuals():
         for r in relative_residuals(p, st):
             assert r <= 1e-10, p
 
-        profiles = SteadyProfiles(st.V0, st.V1, st.mu0, p.r0, st.r1, p.M, p.M, p.rhoR, p.mu_inf)
+        profiles = SteadyProfiles(st.V0, st.V1, st.mu0, ShellGeometry(p.r0, st.r1),
+                                  p.M, p.M, p.rhoR, p.mu_inf)
         res0, res1 = interface_residuals(st, profiles)
         scale0 = max(
             abs(p.rhoR * st.V0),

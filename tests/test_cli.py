@@ -167,8 +167,19 @@ def test_nonpositive_parameter_is_input_error(capsys):
     assert "must be positive" in err
 
 
+# --set item -> the error it gives.  transport.M_outer is no key: the outer
+# mobility multiplies V0 + V1 = 0 in every treadmilling state.
+CHECKED_ITEMS = {
+    "transport.M_outer=-1": "--set: unknown key 'transport.M_outer'",
+    "transport.M_outer=0": "--set: unknown key 'transport.M_outer'",
+    "geom.r0=-1": "r0 must be positive",
+    "geom.r0=0": "r0 must be positive",
+    "kinetics.b0=-1": "b0 must be positive",
+}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("item", ["transport.M_outer=-1", "transport.M_outer=0", "kinetics.b0=-1"])
+@pytest.mark.parametrize("item", list(CHECKED_ITEMS))
 @pytest.mark.parametrize(
     "argv",
     [
@@ -180,11 +191,11 @@ def test_nonpositive_parameter_is_input_error(capsys):
 )
 def test_every_command_checks_every_parameter(capsys, argv, item, fmt):
     # the value is checked when the config is resolved, whether or not the
-    # command or the format reads it
+    # command or the format reads it: sweep never reads r0
     code, out, err = run(capsys, argv + ["--format", fmt, "--set", item])
     assert code == 2
     assert out == ""
-    assert err == f"error: {item.split('.')[1].split('=')[0]} must be positive\n"
+    assert err == f"error: {CHECKED_ITEMS[item]}\n"
 
 
 def test_readme_config_table_is_the_run_config_table():
@@ -197,7 +208,7 @@ def test_readme_config_table_is_the_run_config_table():
         for f in dataclasses.fields(cli.RunConfig)
         if "key" in f.metadata
     ]
-    assert len(keys) == 11
+    assert len(keys) == 10
     assert table == keys
 
 
@@ -385,8 +396,8 @@ def test_nonfinite_options_are_input_errors(capsys, argv):
         # eta = 1e-320 overflows the diffusion-limited estimate to inf
         ["sweep", "--eta-min", "1e-320", "--format", "json"],
         ["sweep", "--eta-min", "1e-320"],
-        # lam up to 1e160 overflows w, and sigma_r = w - w(nu) is nan
-        ["profiles", "--r1", "1e160"],
+        # r1 = nu r0 overflows to inf
+        ["profiles", "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=30"],
     ],
 )
 def test_nonfinite_output_is_numeric_failure(argv, child_env):
@@ -417,6 +428,8 @@ def test_nonfinite_output_is_numeric_failure(argv, child_env):
          "--points", "3"],
         # r1/r0 = 1/5e-324 overflows in the shell geometry
         ["profiles", "--r1", "1", "--set", "geom.r0=5e-324"],
+        # w(nu) overflows at nu = 1e160, where sigma_r = w - w(nu) would be NaN
+        ["profiles", "--r1", "1e160", "--format", "json"],
     ],
 )
 def test_underflowing_kinetic_scale_is_input_error(argv, child_env):
@@ -466,13 +479,13 @@ def test_solve_nonfinite_value_is_numeric_failure(capsys, command, fmt):
 
 
 def test_nonfinite_output_writes_no_file(tmp_path, capsys):
-    path = tmp_path / "profiles.json"
+    path = tmp_path / "sweep.json"
     code, out, err = run(
-        capsys, ["profiles", "--r1", "1e160", "--format", "json", "--out", str(path)]
+        capsys, ["sweep", "--eta-min", "1e-320", "--format", "json", "--out", str(path)]
     )
     assert code == 4
     assert out == ""
-    assert "non-finite sigma_r_over_G" in err
+    assert "non-finite d_diffusion_limited_est" in err
     assert not path.exists()
 
 

@@ -53,6 +53,8 @@ def chemistries(n, seed=20261019):
             "transport.M_outer": loguniform(0.1, 10.0),
             "geom.r0": loguniform(1e-3, 1e3),
         }
+        # the outer mobility is no key; its spare draw keeps every later draw
+        del values["transport.M_outer"]
         out.append([arg for key, value in values.items() for arg in ("--set", f"{key}={value!r}")])
     return out
 

@@ -6,21 +6,23 @@ mobilities and reference density, far-field potential mu_inf = 1.  Matching
 the outer solution at r1 gives mu(r1) = 0.75 and hence mu0 = 0.25.
 """
 
+import dataclasses
 import types
 
 import numpy as np
 import pytest
 
 from accrete.diffusion import SteadyProfiles, interface_residuals
+from accrete.mechanics import ShellGeometry
 
 
 def make_reference():
-    return SteadyProfiles(V0=1.0, V1=-0.5, mu0=0.25, r0=1.0, r1=2.0,
+    return SteadyProfiles(V0=1.0, V1=-0.5, mu0=0.25, geom=ShellGeometry(1.0, 2.0),
                           M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=1.0)
 
 
 def test_transport_params_validation():
-    base = dict(V0=1.0, V1=0.0, mu0=0.0, r0=1.0, r1=2.0,
+    base = dict(V0=1.0, V1=0.0, mu0=0.0, geom=ShellGeometry(1.0, 2.0),
                 M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=0.0)
     for name, value in (("M_inner", 0.0), ("rhoR", -2.0), ("M_outer", 0.0)):
         with pytest.raises(ValueError, match=f"^{name} must be positive$"):
@@ -28,11 +30,16 @@ def test_transport_params_validation():
 
 
 def test_profiles_validation():
-    for r1, message in ((1.0, "^r1 must not be below r0$"), (np.nan, "^r1 must not be below r0$"),
-                        (np.inf, "^r1 must be finite$")):
+    # the profiles take the shell's r0 and r1 from a ShellGeometry, whose
+    # checks they do not repeat; the geometry is rejected as it is built
+    for r1, message in ((1.0, "^outer radius r1 must not be below r0$"),
+                        (np.nan, "^outer radius r1 must not be below r0$"),
+                        (np.inf, "^outer radius r1 must be finite$")):
         with pytest.raises(ValueError, match=message):
-            SteadyProfiles(V0=1.0, V1=0.0, mu0=0.0, r0=2.0, r1=r1,
+            SteadyProfiles(V0=1.0, V1=0.0, mu0=0.0, geom=ShellGeometry(2.0, r1),
                            M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=0.0)
+    assert [f.name for f in dataclasses.fields(SteadyProfiles)] == [
+        "V0", "V1", "mu0", "geom", "M_inner", "M_outer", "rhoR", "mu_inf"]
 
 
 def test_flux_frozen_values():
@@ -139,7 +146,7 @@ def test_interface_residuals_geometry_check():
 
 def test_treadmilling_outer_region_is_quiescent():
     """With V1 = -V0 the outside sees no flux and a flat potential."""
-    p = SteadyProfiles(V0=2.0, V1=-2.0, mu0=1.0, r0=1.0, r1=1.75,
+    p = SteadyProfiles(V0=2.0, V1=-2.0, mu0=1.0, geom=ShellGeometry(1.0, 1.75),
                        M_inner=2.0, M_outer=0.5, rhoR=1.5, mu_inf=3.25)
     for r in (1.75, 2.0, 5.0, 40.0):
         h = p.h(r, side="above") if r == 1.75 else p.h(r)
@@ -156,7 +163,7 @@ def test_array_fields_match_scalar_calls():
         V0 = rng.uniform(0.1, 3.0)
         V1 = -V0 if rng.uniform() < 0.5 else rng.uniform(-3.0, 0.0)
         M_inner, M_outer, rhoR = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
-        p = SteadyProfiles(V0=V0, V1=V1, mu0=rng.uniform(-1.0, 1.0), r0=r0, r1=r1,
+        p = SteadyProfiles(V0=V0, V1=V1, mu0=rng.uniform(-1.0, 1.0), geom=ShellGeometry(r0, r1),
                            M_inner=M_inner, M_outer=M_outer, rhoR=rhoR, mu_inf=1.5)
         r = np.concatenate([np.linspace(r0, r1, 50), r1 * rng.uniform(1.0, 5.0, 20)])
         for side in ("below", "above"):
@@ -191,7 +198,7 @@ def test_array_flux_side_rule_and_zero():
     with pytest.raises(ValueError):
         p.mu(np.array([0.5, 1.0]))
     # treadmilling: the outside flux is +0.0, never -0.0
-    q = SteadyProfiles(V0=2.0, V1=-2.0, mu0=1.0, r0=1.0, r1=1.75,
+    q = SteadyProfiles(V0=2.0, V1=-2.0, mu0=1.0, geom=ShellGeometry(1.0, 1.75),
                        M_inner=2.0, M_outer=0.5, rhoR=1.5, mu_inf=3.25)
     h = q.h(np.array([1.75, 2.0, 40.0]), side="above")
     assert h.tolist() == [0.0, 0.0, 0.0]

@@ -153,6 +153,11 @@ def test_radial_stress_domain():
     for r in (0.5, 2.5, np.nan, *map(np.array, ([0.5, 1.5], [1.5, 2.5], [1.5, np.nan]))):
         with pytest.raises(ValueError, match=r"^r outside the shell \[r0, r1\]$"):
             fields_at(r, geom, e)
+    # w(nu) overflows, so sigma_r = w(lam) - w(nu) would be NaN
+    message = r"^energy w\(nu\) of the shell is out of the float range$"
+    for r in (1e300, np.array([1.0, 1e300])):
+        with pytest.raises(ValueError, match=message):
+            fields_at(r, ShellGeometry(1.0, 1e300), e)
 
 
 def test_hoop_stress_frozen_value():

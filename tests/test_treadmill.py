@@ -582,6 +582,9 @@ def test_quadratic_estimate_errors():
 
     with pytest.raises(ValueError):
         small_bead_quadratic(make_params(energy=NoCurvature(1.0)))
+    # 2 drive / d2w(1) overflows where d2w(1) = 12 G is subnormal
+    with pytest.raises(ValueError, match="^small-bead estimate is out of the float range$"):
+        small_bead_quadratic(make_params(energy=NeoHookean(1e-320)))
 
 
 def test_quadratic_tracks_thin_shells():
