@@ -221,11 +221,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _columns(table: _Table, number: str, text, empty: str) -> list:
     """(cells, format, literal) of each column for %: floats under number,
     text(x) for str and empty for None under %s, and the literal for a row
-    past the column's end.  A non-finite number raises before any format."""
-    columns = []
-    for name, column in zip(table.names, table.columns):
+    past the column's end.  A non-finite number raises before any format.
+
+    Each distinct column is converted once, to str cells under %s: a column
+    object held twice cell by cell, and a column of one nonzero value by one
+    % of it (equal nonzero floats have equal bits; 0.0 and -0.0 are equal
+    floats with different text)."""
+    order, distinct, numbers = [id(column) for column in table.columns], {}, {}
+    for name, column, key in zip(table.names, table.columns, order):
+        if key in distinct:
+            continue
         if isinstance(column, list) and not (column and isinstance(column[0], float)):
-            columns.append(([empty if x is None else text(x) for x in column], "%s", empty))
+            distinct[key] = ([empty if x is None else text(x) for x in column], "%s", empty)
             continue
         if isinstance(column, list):  # %s of an np.float64 is numpy's str, not float repr
             finite, column = all(map(math.isfinite, column)), [*map(float, column)]
@@ -234,25 +241,31 @@ def _columns(table: _Table, number: str, text, empty: str) -> list:
             finite, column = np.isfinite(column).all(), column.tolist()
         if not finite:
             raise NumericFailure(f"non-finite {name} in the output")
-        columns.append((column, number, empty))
-    return columns
+        distinct[key] = numbers[key] = (column, number, empty)
+    for key, (c, f, e) in numbers.items():
+        if order.count(key) > 1:
+            distinct[key] = ([f % x for x in c], "%s", e)
+        elif c and c[0] and c[-1] == c[0] and c.count(c[0]) == len(c):
+            distinct[key] = ([f % c[0]] * len(c), "%s", e)
+    return [distinct[key] for key in order]
 
 
-def _fill(columns: list, keys, head: str, sep: str, tail: str) -> str:
-    """Rows of head + sep.join(key + cell) + tail, one % per run of rows
-    that have the same columns; past the end of a column, its literal."""
+def _fill(columns: list, keys, head: str, sep: str, tail: str) -> list[str]:
+    """The text of each run of rows that have the same columns, by one %:
+    head + sep.join(key + cell) + tail per row, and past the end of a
+    column its literal.  Cells _columns converted once go in under %s."""
     text, lo = [], 0
     for hi in sorted({len(c) for c, _, _ in columns} - {0}):
         row = sep.join(k + (f if len(c) >= hi else e) for k, (c, f, e) in zip(keys, columns))
         cells = zip(*(c[lo:hi] for c, _, _ in columns if len(c) >= hi))
         text.append((head + row + tail) * (hi - lo) % tuple(chain.from_iterable(cells)))
         lo = hi
-    return "".join(text)
+    return text
 
 
 def _csv_text(table: _Table) -> str:
     rows = _fill(_columns(table, "%.17g", str, ""), [""] * len(table.names), "", ",", "\n")
-    return ",".join(table.names) + "\n" + rows
+    return "".join([",".join(table.names) + "\n", *rows])
 
 
 def _json_text(doc: dict) -> str:
@@ -264,7 +277,7 @@ def _json_text(doc: dict) -> str:
     string, null), or a literal null past the end of a short column.
     """
     key, table = list(doc.items())[-1]
-    is_table, rows = isinstance(table, _Table), ""
+    is_table, rows = isinstance(table, _Table), []
     try:
         text = json.dumps({**doc, key: []} if is_table else doc, indent=2, allow_nan=False)
     except ValueError as exc:
@@ -272,8 +285,9 @@ def _json_text(doc: dict) -> str:
     if is_table:  # text ends in '"rows": []\n}'
         keys = [f"      {json.dumps(name)}: " for name in table.names]
         rows = _fill(_columns(table, "%s", json.dumps, "null"), keys,
-                     "    {\n", ",\n", "\n    },\n")[:-2]  # cells freed before the join
-    return "".join([text[:-4], "[\n", rows, "\n  ]\n}\n"]) if rows else text + "\n"
+                     "    {\n", ",\n", "\n    },\n")  # cells freed before the join
+        rows[-1:] = [run[:-2] for run in rows[-1:]]  # no ",\n" after the last row
+    return "".join([text[:-4], "[\n", *rows, "\n  ]\n}\n"]) if rows else text + "\n"
 
 
 def _write(cfg: RunConfig, doc: dict, table: _Table) -> None:
@@ -283,8 +297,8 @@ def _write(cfg: RunConfig, doc: dict, table: _Table) -> None:
     Every column is checked before any cell is formatted, and the whole
     text is formatted before anything is written.  A number that is not
     finite raises NumericFailure: NaN and infinities are not valid JSON,
-    and an inf in a CSV cell is no result either.  The cells are filled in
-    by one % per run of rows with the same columns, not one call per cell.
+    and an inf in a CSV cell is no result either.  Each distinct column is
+    converted to text once, and each run of rows is filled by a single %.
     """
     text = _json_text(doc) if cfg.fmt == "json" else _csv_text(table)
     if cfg.out is None:

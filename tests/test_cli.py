@@ -864,17 +864,26 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE
 @st.composite
 def tables(draw):
     """A _Table of ragged columns: float64 arrays, lists of floats and
-    np.float64, lists of str and None, and empty columns."""
+    np.float64, lists of str and None, and empty lists and arrays.  A
+    numeric column may hold one value throughout, a zero as any mix of 0.0
+    and -0.0, and a column object may come again later in the table."""
     n_rows = draw(st.integers(0, 12))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
         size = draw(st.integers(0, n_rows))
-        kind = draw(st.sampled_from(["array", "floats", "text"]))
-        if kind == "text" or size == 0:
+        kind = draw(st.sampled_from(["array", "floats", "text"] + ["again"] * bool(columns)))
+        if kind == "again":  # the same object: _columns converts it once
+            columns.append(draw(st.sampled_from(columns)))
+            continue
+        if kind == "text" or size == 0 and kind == "floats":
             cells = st.none() | st.text(max_size=6)
             columns.append(draw(st.lists(cells, min_size=size, max_size=size)))
             continue
-        values = draw(st.lists(FINITE, min_size=size, max_size=size))
+        cell = FINITE
+        if draw(st.booleans()):  # one value, converted once unless it is a zero
+            value = draw(FINITE)
+            cell = st.sampled_from([0.0, -0.0]) if value == 0.0 else st.just(value)
+        values = draw(st.lists(cell, min_size=size, max_size=size))
         if kind == "array":
             columns.append(np.array(values))
         else:
@@ -896,14 +905,16 @@ def test_writer_matches_the_per_cell_writer(table):
 def test_writer_raises_on_a_nonfinite_cell_in_any_column(table, data):
     numeric = [i for i, c in enumerate(table.columns) if len(c) and isinstance(c[0], float)]
     assume(numeric)
-    i = data.draw(st.sampled_from(numeric))
-    column = table.columns[i].copy()
+    old = table.columns[data.draw(st.sampled_from(numeric))]
+    column = old.copy()
     column[data.draw(st.integers(0, len(column) - 1))] = data.draw(
         st.sampled_from([math.nan, math.inf, -math.inf])
     )
-    table = cli._Table(table.names, [*table.columns[:i], column, *table.columns[i + 1:]])
+    # every place that held the drawn column object holds the bad one
+    table = cli._Table(table.names, [column if c is old else c for c in table.columns])
+    first = next(i for i, c in enumerate(table.columns) if c is column)
     for text in (cli._csv_text, reference_csv, lambda t: cli._json_text({"rows": t})):
-        with pytest.raises(NumericFailure, match=f"non-finite c{i} in the output"):
+        with pytest.raises(NumericFailure, match=f"non-finite c{first} in the output"):
             text(table)
 
 
@@ -933,6 +944,47 @@ def test_every_command_writes_the_per_cell_writers_bytes(capsys, monkeypatch, ar
     assert code == 0
     [(doc, table)] = written
     assert out == (reference_json(doc) if fmt == "json" else reference_csv(table))
+
+
+def conversions(table, columns):
+    """Float-to-text conversions of the writer, from the columns _columns
+    gives for table: one per float cell left for the % of _fill, in every
+    place that holds it, and one per str made from floats, where a list
+    held twice counts once and a list of one repeated str object once."""
+    numeric = [len(c) > 0 and isinstance(c[0], float) for c in table.columns]
+    left = sum(isinstance(x, float) for (c, _, _), n in zip(columns, numeric) if n for x in c)
+    made = {id(c): len(c) if len(set(map(id, c))) > 1 else 1
+            for (c, _, _), n in zip(columns, numeric) if n and isinstance(c[0], str)}
+    return left + sum(made.values())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, per_row, extra",
+    [
+        # 9 per row, not 10: the small-bead estimate is one value, made once
+        (["sweep", "--points", "256"], 9, 1),
+        (["sweep", "--points", "257"], 9, 1),
+        # 7 per row, not 8: v_over_V0 is lam_r; plus r, h and mu outside r1
+        (["profiles", "--grid-n", "256"], 7, 3),
+        (["profiles", "--grid-n", "257"], 7, 3),
+        (["profiles", "--r1", "2.5", "--grid-n", "256"], 5, 0),
+        (["profiles", "--r1", "2.5", "--grid-n", "257"], 5, 0),
+    ],
+)
+def test_each_distinct_column_is_converted_once(capsys, monkeypatch, argv, per_row, extra, fmt):
+    """A count of float-to-text conversions, which does not depend on the
+    host, on both sides of cli._ARRAY_ROWS."""
+    counts, columns = [], cli._columns
+
+    def count(table, *args):
+        out = columns(table, *args)
+        counts.append(conversions(table, out))
+        return out
+
+    monkeypatch.setattr(cli, "_columns", count)
+    assert run(capsys, [*argv, "--format", fmt])[0] == 0
+    assert counts == [per_row * int(argv[-1]) + extra]
 
 
 def test_stdout_and_file_output_agree(tmp_path, capsys):

@@ -61,7 +61,8 @@ def chemistries(n, seed=20261019):
 
 def corpus_argv():
     """Every command in CSV and JSON, profiles with --r1 (one of them a
-    thin shell), each side of cli._ARRAY_ROWS, and the edge runs of test_cli."""
+    thin shell, one on arrays), each side of cli._ARRAY_ROWS, and the edge
+    runs of test_cli."""
     rng = random.Random(7)
     argv = []
     for i, chem in enumerate(chemistries(18)):
@@ -76,6 +77,7 @@ def corpus_argv():
         for rows in (cli._ARRAY_ROWS, cli._ARRAY_ROWS + 1):
             argv += [["sweep", *chem, "--points", str(rows), *fmt],
                      ["profiles", *chem, "--grid-n", str(rows), *fmt]]
+        argv.append(["profiles", *chem, *r1, "--grid-n", str(cli._ARRAY_ROWS + 1), *fmt])
     return argv + EDGE_ARGV
 
 

@@ -624,6 +624,40 @@ def test_large_bead_ablation_limited_branch():
     assert st.mu0 == pytest.approx(2.53125, abs=1e-3)
 
 
+def rates(errors):
+    """How many times smaller each error is than the one a decade before."""
+    return [a / b for a, b in zip(errors, errors[1:])]
+
+
+@pytest.mark.parametrize("G", [0.1, 1.0, 10.0])
+def test_small_bead_thickness_converges_at_first_and_second_order(G):
+    """u -> u* like eta, and u* + eta u1 -> u like eta**2, where u1 =
+    -u* b1 Vstar/((1 + u*) dw(1 + u*)) is dF/deta over dF/du at eta = 0."""
+    p = make_params(energy=NeoHookean(G))  # the CLI defaults, at modulus G
+    Vstar = compute_scales(p).Vstar
+    u_star = small_bead_asymptote(p)[0] - 1.0
+    u1 = -u_star * p.b1 * Vstar / ((1.0 + u_star) * p.energy.dw(1.0 + u_star))
+    eta = np.array([1e-2, 1e-3, 1e-4])
+    u = solve_eta(p, eta).nu - 1.0
+    assert rates(np.abs(u / u_star - 1.0)) == [pytest.approx(10.0, rel=0.2)] * 2
+    assert rates(np.abs((u_star + eta * u1) / u - 1.0)) == [pytest.approx(100.0, rel=0.2)] * 2
+
+
+def test_large_bead_thickness_converges_like_one_over_eta_whatever_the_stiffness():
+    """eta u -> Vstar/Vstarstar - 1 with an error like 1/eta, for Vstarstar
+    > 0; the limit does not depend on G.  At G = 10 the rate only sets in
+    past eta = 1e3, where the error is 1.28e-3 against 1.93e-4 at 1e4."""
+    eta, errors = np.array([1e4, 1e5]), []
+    for G in (0.1, 1.0, 10.0):
+        p = make_params(energy=NeoHookean(G))  # the CLI defaults: Vstarstar = 0.5
+        s = compute_scales(p)
+        u = solve_eta(p, eta).nu - 1.0
+        errors.append(np.abs(eta * u / (s.Vstar / s.Vstarstar - 1.0) - 1.0))
+        assert rates(errors[-1]) == [pytest.approx(10.0, rel=0.2)]
+    at_1e5 = [e[-1] for e in errors]
+    assert max(at_1e5) < 2.0 * min(at_1e5) < 1e-4
+
+
 def test_large_bead_balanced_bath():
     # mu_inf = muR1 zeroes Vstarstar: no thickness estimate is offered
     p = make_params(mu_inf=3.0)
