@@ -389,9 +389,11 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
         if not math.isfinite(state.r1):  # r1 = nu r0 overflows for a bead near the float range
             raise NumericFailure(f"non-finite value in the output: r1 = {state.r1!r}")
     geom = mechanics.ShellGeometry(cfg.r0, cfg.r1 if state is None else state.r1)
-    # M_inner stands in for the outer mobility, which multiplies V0 + V1 = 0: no output reads it
-    profiles = None if state is None else diffusion.SteadyProfiles(
-        state.V0, state.V1, state.mu0, geom, cfg.M_inner, cfg.M_inner, cfg.rhoR, cfg.mu_inf)
+    try:  # a solved state whose h or mu overflows is no bad input
+        profiles = None if state is None else diffusion.SteadyProfiles(
+            state.V0, state.mu0, geom, cfg.M_inner, cfg.rhoR, cfg.mu_inf)
+    except ValueError as exc:
+        raise NumericFailure(str(exc)) from None
 
     def cells(f):  # at one radius (floats) or at every radius (arrays)
         cols = [f.r, f.sigma_r / gscale, f.sigma_theta / gscale, f.lam_r, f.lam_theta]

@@ -490,6 +490,17 @@ def test_nonfinite_output_writes_no_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid_n", ["101", "1000"], ids=["floats", "arrays"])
+def test_profiles_whose_potential_overflows_is_a_numeric_failure(capsys, grid_n):
+    """V0 = 1e299 solves, but rhoR r0 V0 / M_inner = 1e309 overflows, so the
+    potential inside the shell has no float value: exit 4, not a bad input."""
+    argv = ["profiles", "--set", "chem.muR1=1e300", "--set", "chem.mu_inf=9e299",
+            "--set", "geom.r0=1e10", "--grid-n", grid_n]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid_n", ["101", "1000"], ids=["floats", "arrays"])
 def test_profiles_where_the_solved_speed_rounds_to_zero(capsys, grid_n):
     """Here V0 = Vstarstar + w(nu)/b1 rounds to exactly 0.0; v_over_V0 is
     (r0/r)**2 in closed form, so it stays defined."""

@@ -16,8 +16,7 @@ from accrete.strain_energy import NeoHookean
 
 ENERGY = NeoHookean(1.0)
 GEOM = ShellGeometry(1.0, 2.0)
-PROFILES = SteadyProfiles(V0=1.0, V1=-0.5, mu0=0.25, geom=GEOM,
-                          M_inner=1.0, M_outer=1.0, rhoR=1.0, mu_inf=1.0)
+PROFILES = SteadyProfiles(V0=1.0, mu0=0.5, geom=GEOM, M_inner=1.0, rhoR=1.0, mu_inf=1.0)
 FUNCTIONS = {
     "fields_at.lam_r": lambda x: fields_at(x, GEOM, ENERGY).lam_r,
     "fields_at.lam_theta": lambda x: fields_at(x, GEOM, ENERGY).lam_theta,
@@ -68,12 +67,12 @@ SteadyProfiles.h       int      float -0x1.0000000000000p-2
 SteadyProfiles.h       0-d      float -0x1.c71c71c71c71cp-2
 SteadyProfiles.h       1-d      ndarray[float64](2,) -0x1.47ae147ae147cp-1 -0x1.0000000000000p-2
 SteadyProfiles.h       list     ndarray[float64](2,) -0x1.47ae147ae147cp-1 -0x1.0000000000000p-2
-SteadyProfiles.mu      float    float 0x1.2aaaaaaaaaaabp-1
-SteadyProfiles.mu      float64  float 0x1.2aaaaaaaaaaabp-1
-SteadyProfiles.mu      int      float 0x1.8000000000000p-1
-SteadyProfiles.mu      0-d      float 0x1.2aaaaaaaaaaabp-1
-SteadyProfiles.mu      1-d      ndarray[float64](2,) 0x1.cccccccccccccp-2 0x1.8000000000000p-1
-SteadyProfiles.mu      list     ndarray[float64](2,) 0x1.cccccccccccccp-2 0x1.8000000000000p-1
+SteadyProfiles.mu      float    float 0x1.aaaaaaaaaaaabp-1
+SteadyProfiles.mu      float64  float 0x1.aaaaaaaaaaaabp-1
+SteadyProfiles.mu      int      float 0x1.0000000000000p+0
+SteadyProfiles.mu      0-d      float 0x1.aaaaaaaaaaaabp-1
+SteadyProfiles.mu      1-d      ndarray[float64](2,) 0x1.6666666666666p-1 0x1.0000000000000p+0
+SteadyProfiles.mu      list     ndarray[float64](2,) 0x1.6666666666666p-1 0x1.0000000000000p+0
 NeoHookean.w           float    float 0x1.b29161f9add3dp-1
 NeoHookean.w           float64  float64 0x1.b29161f9add3dp-1
 NeoHookean.w           int      float 0x1.4400000000000p+1

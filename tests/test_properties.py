@@ -4,7 +4,8 @@ Hypothesis draws G, b0, b1 and the drive mu_inf - muStar; each example
 solves one table of 61 bead radii with solve_eta.  The drive runs from
 1e-6 to 10, so with muR1 = 3 both signs of Vstarstar occur, and eta stops
 at 1e6, where d/r0 still moves by many ulp of nu from one row to the next.
-The rescaling test solves single states, with muR0 drawn as well.
+The rescaling test solves single states, with muR0 drawn as well.  The
+transport test draws finite floats that favour the edges of the float range.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from accrete.diffusion import SteadyProfiles  # noqa: E402
+from accrete.mechanics import ShellGeometry  # noqa: E402
 from accrete.strain_energy import NeoHookean  # noqa: E402
 from accrete.treadmill import ModelParams, compute_scales, solve, solve_eta  # noqa: E402
 
@@ -62,3 +65,34 @@ def test_matched_rescaling_is_bit_for_bit(G, b0, b1, muR0, gap, drive, eta, k, j
     base, chem, geom = state(1.0, 1.0), state(2.0**k, 1.0), state(1.0, 2.0**j)
     assert (chem.nu, chem.d, chem.V0) == (base.nu, base.d, base.V0 * 2.0**k)
     assert (geom.nu, geom.d) == (base.nu, base.d * 2.0**j)
+
+
+BIG = 1.7976931348623157e308
+EDGES = [5e-324, 2.0**-1074 * 3, 2.2250738585072014e-308, 1e-308, 1e-300, 1.0, 1e300, 1e308, BIG]
+magnitudes = st.one_of(st.sampled_from(EDGES), st.floats(min_value=5e-324, max_value=BIG))
+signed = st.one_of(magnitudes, magnitudes.map(lambda x: -x), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(V0=signed, mu0=signed, r0=magnitudes, r1=magnitudes, M_inner=magnitudes, rhoR=magnitudes,
+       mu_inf=signed, t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_profiles_are_finite_or_rejected(V0, mu0, r0, r1, M_inner, rhoR, mu_inf, t):
+    """For finite inputs, SteadyProfiles either raises ValueError or gives a
+    finite h and mu at every radius in [r0, 4 r1], float or array."""
+    r0, r1 = min(r0, r1), max(r0, r1)
+    try:
+        p = SteadyProfiles(V0, mu0, ShellGeometry(r0, r1), M_inner, rhoR, mu_inf)
+    except ValueError:
+        return
+    top = min(4.0 * r1, BIG)
+    radii = [r0, r1, top, *(min(r0 + x * (top - r0), top) for x in t)]
+    for r in radii:
+        for side in ("below", "above"):
+            assert np.isfinite(p.h(r, side=side)), (r, side)
+        assert np.isfinite(p.mu(r)), r
+    # mu evaluates the inside formula at every radius, and np.where drops it
+    # outside the shell, where it may overflow; the CLI ignores that too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side in ("below", "above"):
+            assert np.isfinite(p.h(np.array(radii), side=side)).all()
+        assert np.isfinite(p.mu(np.array(radii))).all()

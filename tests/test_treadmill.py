@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from accrete import treadmill
+from accrete import cli, treadmill
 from accrete.strain_energy import NeoHookean, ReducedEnergy
 from accrete.treadmill import (
     ModelParams,
@@ -34,6 +34,7 @@ from accrete.treadmill import (
     solve,
     solve_eta,
 )
+from test_cli_corpus import chemistries
 from test_root_finder import SkewedDerivative, WrongSignDerivative
 
 
@@ -656,6 +657,20 @@ def test_large_bead_thickness_converges_like_one_over_eta_whatever_the_stiffness
         assert rates(errors[-1]) == [pytest.approx(10.0, rel=0.2)]
     at_1e5 = [e[-1] for e in errors]
     assert max(at_1e5) < 2.0 * min(at_1e5) < 1e-4
+
+
+def test_thickness_never_rises_with_eta():
+    """dF/deta = -u (1 + u)/q**2 < 0, so nu falls with eta: never rises over
+    2 001 log-spaced eta from 1e-6 to 1e6, for the corpus's chemistries."""
+    eta = np.geomspace(1e-6, 1e6, 2001)
+    parser, solved = cli._build_parser(), 0
+    for chem in chemistries(200):
+        p = cli._config_from_args(parser.parse_args(["solve", *chem])).params
+        if solvable(p).ok:
+            nu = solve_eta(p, eta).nu
+            assert not np.any(np.diff(nu) > 0.0), chem
+            solved += 1
+    assert solved >= 150
 
 
 def test_large_bead_balanced_bath():
