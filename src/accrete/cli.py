@@ -24,8 +24,9 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
+from typing import NamedTuple
 
 from . import diffusion, mechanics, strain_energy, treadmill
 from .strain_energy import NeoHookean
@@ -91,43 +92,38 @@ class ConfigError(Exception):
     """Malformed config file, key, or value."""
 
 
-def _key(key: str, default):
-    """A RunConfig field set by the config key section.key."""
-    return field(default=default, metadata={"key": key})
+# Config key -> (its RunConfig field, default), in the order of the JSON
+# params block; then the command options, RunConfig field -> default.
+_KEYS = {
+    "energy.kind": ("energy_kind", "neo-hookean"),
+    "energy.G": ("G", 1.0),
+    "kinetics.b0": ("b0", 1.0),
+    "kinetics.b1": ("b1", 1.0),
+    "chem.muR0": ("muR0", 0.0),
+    "chem.muR1": ("muR1", 3.0),
+    "chem.mu_inf": ("mu_inf", 2.5),
+    "chem.rhoR": ("rhoR", 1.0),
+    "transport.M_inner": ("M_inner", 1.0),
+    "geom.r0": ("r0", 1.0),
+}
+_OPTIONS = {"out": None, "fmt": "csv", "eta_min": 1e-6, "eta_max": 1e6, "points": 121,
+            "linear": False, "grid_n": 101, "r1": None}
+_DEFAULTS = {**dict(_KEYS.values()), **_OPTIONS}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values())):
     """Resolved run configuration: physical parameters plus command options.
 
-    The fields that carry a config key are the only definition of the keys
-    and their defaults, in the order of the JSON params block.  Building a
-    RunConfig builds the energy, the ModelParams and the Scales, so every
-    command rejects a bad value in the same way.
+    A named tuple of the fields of _KEYS and then of _OPTIONS, with their
+    defaults.  Building one, by the constructor, _make or _replace, builds
+    the energy, the ModelParams and the Scales, so every command rejects a
+    bad value in the same way.  The last two are its attributes params and
+    scales, held in the instance dict (a tuple subclass cannot slot them)
+    and read-only like the fields.
     """
 
-    energy_kind: str = _key("energy.kind", "neo-hookean")
-    G: float = _key("energy.G", 1.0)
-    b0: float = _key("kinetics.b0", 1.0)
-    b1: float = _key("kinetics.b1", 1.0)
-    muR0: float = _key("chem.muR0", 0.0)
-    muR1: float = _key("chem.muR1", 3.0)
-    mu_inf: float = _key("chem.mu_inf", 2.5)
-    rhoR: float = _key("chem.rhoR", 1.0)
-    M_inner: float = _key("transport.M_inner", 1.0)
-    r0: float = _key("geom.r0", 1.0)
-    out: str | None = None
-    fmt: str = "csv"
-    eta_min: float = 1e-6
-    eta_max: float = 1e6
-    points: int = 121
-    linear: bool = False
-    grid_n: int = 101
-    r1: float | None = None
-    params: treadmill.ModelParams = field(init=False, repr=False, compare=False)
-    scales: treadmill.Scales = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         try:
             make_energy = ENERGY_KINDS[self.energy_kind]
         except KeyError:
@@ -135,27 +131,20 @@ class RunConfig:
             raise ConfigError(
                 f"unknown energy.kind {self.energy_kind!r}; known kinds: {known}"
             ) from None
-        params = treadmill.ModelParams(
-            energy=make_energy(self.G),
-            b0=self.b0,
-            b1=self.b1,
-            muR0=self.muR0,
-            muR1=self.muR1,
-            mu_inf=self.mu_inf,
-            rhoR=self.rhoR,
-            M=self.M_inner,
-            r0=self.r0,
-        )
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "scales", treadmill.compute_scales(params))
+        params = treadmill.ModelParams(make_energy(self.G), self.b0, self.b1, self.muR0,
+                                       self.muR1, self.mu_inf, self.rhoR, self.M_inner, self.r0)
+        vars(self).update(params=params, scales=treadmill.compute_scales(params))
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"RunConfig is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
-# Config key -> its RunConfig field, in the order of the JSON params block.
-_KEYS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig) if "key" in f.metadata}
-
-
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """Named columns of an output table.
 
     A column is a float64 array, a list of floats, or a list whose cells
@@ -187,7 +176,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(key: str, raw: str):
-    if isinstance(_KEYS[key].default, str):
+    if isinstance(_KEYS[key][1], str):
         return raw
     try:
         value = float(raw)
@@ -204,17 +193,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     kwargs = {}
     if args.config is not None:
         for key, raw in _parse_config_file(args.config).items():
-            kwargs[_KEYS[key].name] = _coerce(key, raw)
+            kwargs[_KEYS[key][0]] = _coerce(key, raw)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"--set: unknown key {key!r}")
-        kwargs[_KEYS[key].name] = _coerce(key, raw)
-    for f in dataclasses.fields(RunConfig):
-        if f.init and "key" not in f.metadata and hasattr(args, f.name):
-            kwargs[f.name] = getattr(args, f.name)
+        kwargs[_KEYS[key][0]] = _coerce(key, raw)
+    kwargs.update((name, getattr(args, name)) for name in _OPTIONS if hasattr(args, name))
     return RunConfig(**kwargs)
 
 
@@ -311,9 +298,9 @@ def _write(cfg: RunConfig, doc: dict, table: _Table) -> None:
 def _params_doc(cfg: RunConfig) -> dict:
     """The config keys and their values, nested by section."""
     doc: dict = {}
-    for key, f in _KEYS.items():
+    for key, (field, _) in _KEYS.items():
         section, name = key.split(".")
-        doc.setdefault(section, {})[name] = getattr(cfg, f.name)
+        doc.setdefault(section, {})[name] = getattr(cfg, field)
     return doc
 
 
@@ -495,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format",
             choices=("csv", "json"),
-            default=RunConfig.fmt,
+            default=_OPTIONS["fmt"],
             dest="fmt",
             help="output format (default: %(default)s)",
         )
@@ -511,12 +498,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep eta and tabulate the states")
     add_common(p_sweep)
-    p_sweep.add_argument("--eta-min", type=float, default=RunConfig.eta_min, dest="eta_min")
-    p_sweep.add_argument("--eta-max", type=float, default=RunConfig.eta_max, dest="eta_max")
+    p_sweep.add_argument("--eta-min", type=float, default=_OPTIONS["eta_min"], dest="eta_min")
+    p_sweep.add_argument("--eta-max", type=float, default=_OPTIONS["eta_max"], dest="eta_max")
     p_sweep.add_argument(
         "--points",
         type=int,
-        default=RunConfig.points,
+        default=_OPTIONS["points"],
         help="number of eta points (default: %(default)s)",
     )
     p_sweep.add_argument(
@@ -530,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--grid-n",
         type=int,
-        default=RunConfig.grid_n,
+        default=_OPTIONS["grid_n"],
         dest="grid_n",
         help="number of radial samples (default: %(default)s)",
     )

@@ -11,7 +11,7 @@ of radii, so there is no discretization error to track.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .mechanics import ShellGeometry
 from .strain_energy import _elementwise
@@ -22,24 +22,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SteadyProfiles:
+class SteadyProfiles(NamedTuple("SteadyProfiles", [
+        ("V0", float), ("mu0", float), ("geom", ShellGeometry),
+        ("M_inner", float), ("rhoR", float), ("mu_inf", float)])):
     """Closed-form steady flux and chemical-potential profiles of a
     treadmilling state, from its accretion speed V0 and inner-surface
     potential mu0, the shell geometry, the mobility of the solid, the
     referential density and the remote potential mu_inf.  h jumps at r1
-    from -(r0/r1)**2 rhoR V0 to 0.  Construction raises ValueError where
-    some r >= r0 would give a non-finite h or mu.
+    from -(r0/r1)**2 rhoR V0 to 0.  A named tuple of those six fields;
+    building one, by the constructor, _make or _replace, raises ValueError
+    where some r >= r0 would give a non-finite h or mu.
     """
 
-    V0: float
-    mu0: float
-    geom: ShellGeometry
-    M_inner: float
-    rhoR: float
-    mu_inf: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("M_inner", "rhoR"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -49,6 +47,9 @@ class SteadyProfiles:
         limit = self._mu_inside(r1) if r1 > self.geom.r0 else self.mu0
         if not all(map(math.isfinite, (self.rhoR * self.V0, limit, self.mu_inf))):
             raise ValueError("h or mu is not finite at some r >= r0")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
     def h(self, r, side: str | None = None):
         """Steady free-particle flux h(r), r >= r0.
@@ -78,12 +79,18 @@ class SteadyProfiles:
 
         mu(r) = mu0 + (rhoR r0 V0 / M_inner)(1 - r0/r) for r0 <= r < r1, and
         mu_inf for r >= r1.  A float r gives a float, an array an array.
+        The inside formula is evaluated at the inside radii only, where it
+        cannot overflow.
         """
         r, where, _, all_ = _elementwise(r)
         if not all_(r >= self.geom.r0):
             raise ValueError("r < r0: no potential defined inside the bead")
-        value = where(r < self.geom.r1, self._mu_inside(r), self.mu_inf)
-        return value if getattr(value, "ndim", 0) else float(value)
+        inside = r < self.geom.r1
+        if isinstance(r, (float, int)):
+            return float(self._mu_inside(r) if inside else self.mu_inf)
+        value = where(inside, 0.0, self.mu_inf)
+        value[inside] = self._mu_inside(r[inside])
+        return value if value.ndim else float(value)
 
     def _mu_inside(self, r):
         p, r0 = self, self.geom.r0

@@ -11,8 +11,7 @@ samples them on a uniform grid.  Time never enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .strain_energy import ReducedEnergy, _elementwise
 
@@ -28,22 +27,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShellGeometry:
-    """Concentric spherical shell, inf > r1 >= r0 > 0, with r1/r0 finite."""
+class ShellGeometry(NamedTuple("ShellGeometry", [("r0", float), ("r1", float)])):
+    """Concentric spherical shell, inf > r1 >= r0 > 0, with r1/r0 finite.
 
-    r0: float
-    r1: float
+    A named tuple (r0, r1) that checks its radii however it is built: by
+    the constructor, _make or _replace.
+    """
 
-    def __post_init__(self):
-        if not self.r0 > 0.0:
+    __slots__ = ()
+
+    def __new__(cls, r0: float, r1: float):
+        if not r0 > 0.0:
             raise ValueError("inner radius r0 must be positive")
-        if not self.r1 >= self.r0:
+        if not r1 >= r0:
             raise ValueError("outer radius r1 must not be below r0")
-        if self.r1 == math.inf:
+        if r1 == math.inf:
             raise ValueError("outer radius r1 must be finite")
-        if not math.isfinite(self.r1 / self.r0):
+        if not math.isfinite(r1 / r0):
             raise ValueError("radius ratio r1/r0 is out of the float range")
+        return super().__new__(cls, r0, r1)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
     @property
     def nu(self) -> float:
@@ -51,8 +55,7 @@ class ShellGeometry:
         return self.r1 / self.r0
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     """Mechanical fields sampled at the radii r, one float64 array per
     field (one float per field at a single radius).
 

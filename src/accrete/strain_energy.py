@@ -22,7 +22,7 @@ deliberately pathological energies can be exercised in negative tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ReducedEnergy",
@@ -135,15 +135,13 @@ def modulus_scale(energy: ReducedEnergy) -> float:
     return scale if scale > 0.0 else 1.0
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the structural-assumption checks on an energy."""
 
     checks: tuple[CheckResult, ...]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .strain_energy import ReducedEnergy, _elementwise, _geomspace
 
@@ -155,8 +156,7 @@ class TreadmillState:
     f1: float
 
 
-@dataclass(frozen=True)
-class Solvability:
+class Solvability(NamedTuple):
     """Decision of the existence test, with the violated inequality if any."""
 
     ok: bool

@@ -4,7 +4,6 @@ Most tests drive main() directly and read stdout through capsys; one
 subprocess smoke test covers the installed module entry point.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -203,21 +202,19 @@ def test_readme_config_table_is_the_run_config_table():
     section = readme.split("### Configuration\n", 1)[1].split("\n### ", 1)[0]
     rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
     table = [tuple(cell.strip().strip("`") for cell in row) for row in rows]
-    keys = [
-        (f.metadata["key"], str(f.default))
-        for f in dataclasses.fields(cli.RunConfig)
-        if "key" in f.metadata
-    ]
+    defaults = cli.RunConfig._field_defaults
+    keys = [(key, str(defaults[field])) for key, (field, _) in cli._KEYS.items()]
     assert len(keys) == 10
     assert table == keys
 
 
 def test_parser_options_are_the_run_config_options():
     # every command option sets the RunConfig field of its name, with its default
+    keyed = {field for field, _ in cli._KEYS.values()}
     options = {
-        f.name: f.default
-        for f in dataclasses.fields(cli.RunConfig)
-        if f.init and "key" not in f.metadata
+        name: default
+        for name, default in cli.RunConfig._field_defaults.items()
+        if name not in keyed
     }
     parser, seen = cli._build_parser(), set()
     for command in ("solve", "sweep", "profiles", "validate"):

@@ -7,8 +7,8 @@ potential mu_inf = 1.  The outside is quiescent, so mu(r1) = mu_inf = 1,
 and the inside solution mu0 + (1 - r0/r) meets it at r1 for mu0 = 0.5.
 """
 
-import dataclasses
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -64,7 +64,7 @@ def test_profiles_validation():
         with pytest.raises(ValueError, match=message):
             SteadyProfiles(V0=1.0, mu0=0.0, geom=ShellGeometry(2.0, r1),
                            M_inner=1.0, rhoR=1.0, mu_inf=0.0)
-    assert [f.name for f in dataclasses.fields(SteadyProfiles)] == [
+    assert list(SteadyProfiles._fields) == [
         "V0", "mu0", "geom", "M_inner", "rhoR", "mu_inf"]
 
 
@@ -114,6 +114,20 @@ def test_potential_frozen_values():
     assert p.mu(2.0) == 1.0
     assert p.mu(4.0) == 1.0
     assert p.mu(1e9) == 1.0
+
+
+def test_potential_evaluates_the_inside_formula_only_inside():
+    # flat: rhoR r0 V0 / M_inner overflows, and the inside formula would
+    # multiply it by 1 - r0/r = 0 at r0 == r1.  thin: the inside formula
+    # overflows past r1.  mu computes it at no radius outside the shell, so
+    # numpy has nothing to warn about.
+    flat = SteadyProfiles(1e308, 0.0, ShellGeometry(1.0, 1.0), 1e-300, 1.0, 0.0)
+    thin = SteadyProfiles(1e308, 1e308, ShellGeometry(1.0, 1.0 + 2.0**-52), 1.0, 1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert flat.mu(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+        assert flat.mu(np.array(1.0)) == flat.mu(1.0) == 0.0
+        assert thin.mu(np.array([1.0, 2.0, 1e300])).tolist() == [1e308, 2.0, 2.0]
 
 
 def test_potential_is_continuous_at_r1():

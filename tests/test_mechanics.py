@@ -1,7 +1,5 @@
 """Tests for kinematics and stress fields in the growing spherical shell."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -189,9 +187,9 @@ def test_stress_profile_samples():
     e = NeoHookean(1.0)
     prof = stress_profile(geom, e, 11)
     assert isinstance(prof, FieldSample)
-    names = [f.name for f in dataclasses.fields(prof)]
+    names = list(prof._fields)
     assert names == ["r", "lam_r", "lam_theta", "sigma_r", "sigma_theta"]
-    for field in dataclasses.astuple(prof):
+    for field in prof:
         assert isinstance(field, np.ndarray)
         assert field.dtype == np.float64 and field.shape == (11,)
     assert prof.r[0] == 1.0 and prof.r[-1] == 2.0
@@ -220,9 +218,9 @@ def test_profile_arrays_match_scalar_fields():
         rng.uniform(-2.0, 2.0)  # a spare draw, so the seeded geometries stay the same
         prof = stress_profile(geom, e, int(rng.integers(2, 300)))
         assert prof.sigma_r[-1] == 0.0
-        columns = np.array(dataclasses.astuple(prof)).T.tolist()
+        columns = np.array(tuple(prof)).T.tolist()
         for r, row in zip(prof.r.tolist(), columns):
-            assert dataclasses.astuple(fields_at(r, geom, e)) == tuple(row)
+            assert tuple(fields_at(r, geom, e)) == tuple(row)
 
 
 def test_equilibrium_residual_second_order():

@@ -322,6 +322,24 @@ def test_cli_import_does_not_load_scipy(child_env):
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_builds_three_dataclasses(child_env):
+    # a dataclass decoration execs its generated methods, about 1 ms of a
+    # cold start each; the other accrete classes build without exec
+    code = """if True:
+        import sys, accrete.cli
+        print(sorted(cls.__qualname__ for name, module in list(sys.modules.items())
+                     if name.split(".")[0] == "accrete"
+                     for cls in vars(module).values()
+                     if isinstance(cls, type) and cls.__module__ == name
+                     and hasattr(cls, "__dataclass_fields__")))
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['ModelParams', 'Scales', 'TreadmillState']"
+
+
 COLD_CODE = """
 import json, sys
 import accrete

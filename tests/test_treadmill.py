@@ -659,6 +659,23 @@ def test_large_bead_thickness_converges_like_one_over_eta_whatever_the_stiffness
     assert max(at_1e5) < 2.0 * min(at_1e5) < 1e-4
 
 
+@pytest.mark.parametrize("G", [0.1, 1.0, 10.0])
+def test_large_bead_thickness_tends_to_nu2_like_one_over_eta(G):
+    """For Vstarstar < 0, u -> nu2 - 1 with an error like 1/eta.  Expanding
+    eta u/(1 + (1 + eta) u) = 1 - nu/(eta u) + O(1/eta**2) in F = 0 about
+    nu2 gives eta (u - (nu2 - 1)) -> b1 Vstar nu2/((nu2 - 1) dw(nu2)), which
+    the solves reach like 1/eta too."""
+    p = make_params(energy=NeoHookean(G), mu_inf=4.0)  # Vstarstar = -1
+    Vstar = compute_scales(p).Vstar
+    eta = np.array([1e3, 1e4, 1e5, 1e6])
+    u2 = large_bead_asymptote(p, 1.0)[0]
+    error = solve_eta(p, eta).nu - 1.0 - u2
+    assert rates(np.abs(error)) == [pytest.approx(10.0, rel=0.02)] * 3
+    slope = p.b1 * Vstar * (1.0 + u2) / (u2 * p.energy.dw(1.0 + u2))
+    assert slope == pytest.approx({0.1: 3.139, 1.0: 1.458, 10.0: 0.946}[G], abs=5e-4)
+    assert rates(np.abs(eta * error / slope - 1.0)) == [pytest.approx(10.0, rel=0.03)] * 3
+
+
 def test_thickness_never_rises_with_eta():
     """dF/deta = -u (1 + u)/q**2 < 0, so nu falls with eta: never rises over
     2 001 log-spaced eta from 1e-6 to 1e6, for the corpus's chemistries."""
