@@ -13,22 +13,25 @@ inputs give byte-identical files.
 Exit codes: 0 success, 1 failed validation check, 2 malformed input,
 3 no treadmilling state, 4 numeric failure.
 
-numpy is imported only for a sweep or profile of more than _ARRAY_ROWS
-(256) rows; every other run computes on floats, with the same bits.
+Each command loads only the modules it runs.  ``import accrete`` loads none
+of accrete's modules until a name is used; ``import accrete.cli`` loads
+strain_energy and treadmill, which every command needs.  Only ``profiles``
+also loads mechanics and diffusion, only JSON output loads json, and only
+a sweep or profile of more than _ARRAY_ROWS (256) rows loads numpy; every
+other run computes on floats, with the same bits.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from collections import namedtuple
 from itertools import chain
 from typing import NamedTuple
 
-from . import diffusion, mechanics, strain_energy, treadmill
+from . import strain_energy, treadmill
 from .strain_energy import NeoHookean
 from .treadmill import NoTreadmillingState, NumericFailure
 
@@ -263,6 +266,7 @@ def _json_text(doc: dict) -> str:
     filled with the text json.dumps gives the cell (float repr, a quoted
     string, null), or a literal null past the end of a short column.
     """
+    import json
     key, table = list(doc.items())[-1]
     is_table, rows = isinstance(table, _Table), []
     try:
@@ -364,6 +368,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list]:
     """Solved state (None with --r1) and the profile columns, in PROFILE_FIELDS order."""
+    from . import diffusion, mechanics
     if cfg.grid_n < 2:
         raise ConfigError("need at least 2 profile points")
     if cfg.r1 is not None and not math.isfinite(cfg.r1):

@@ -44,10 +44,17 @@ def _elementwise(x):
     return np.asarray(x, dtype=float), np.where, np.any, np.all
 
 
+_INF = math.inf  # a module global: the fast paths below read no math.inf attribute
+
+
 def _check_positive_stretch(lam):
+    """lam as _elementwise gives it, if no element is <= 0 or infinite;
+    NaN passes."""
     lam, _, any_, _ = _elementwise(lam)
     if any_(lam <= 0.0):
         raise ValueError("stretch must be positive")
+    if any_(lam == _INF):
+        raise ValueError("stretch must be finite")
     return lam
 
 
@@ -103,13 +110,13 @@ class NeoHookean(ReducedEnergy):
         return f"NeoHookean(G={self.G!r})"
 
     def w(self, lam):
-        if not (isinstance(lam, float) and lam > 0.0):
+        if not (isinstance(lam, float) and 0.0 < lam < _INF):
             lam = _check_positive_stretch(lam)
         y = (lam - 1.0) / lam * ((lam + 1.0) / lam)
         return 0.5 * self.G * (y * y * (2.0 * (lam * lam) + 1.0))
 
     def dw(self, lam):
-        if not (isinstance(lam, float) and lam > 0.0):
+        if not (isinstance(lam, float) and 0.0 < lam < _INF):
             lam = _check_positive_stretch(lam)
         l2 = lam * lam
         try:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from accrete import cli
+from accrete import cli, mechanics
 from accrete.strain_energy import NeoHookean, _geomspace
 from accrete.treadmill import (
     ModelParams,
@@ -613,7 +613,7 @@ def test_array_path_raises_no_numpy_warning(capsys, monkeypatch, argv):
 )
 def test_row_count_picks_the_path(capsys, monkeypatch, argv, traced):
     calls = []
-    for owner, name in ((cli.treadmill, "solve_eta"), (cli.mechanics, "stress_profile")):
+    for owner, name in ((cli.treadmill, "solve_eta"), (mechanics, "stress_profile")):
         def spy(*args, _f=getattr(owner, name), _name=name, **kw):
             calls.append(_name)
             return _f(*args, **kw)

@@ -4,7 +4,8 @@ Hypothesis draws G, b0, b1 and the drive mu_inf - muStar; each example
 solves one table of 61 bead radii with solve_eta.  The drive runs from
 1e-6 to 10, so with muR1 = 3 both signs of Vstarstar occur, and eta stops
 at 1e6, where d/r0 still moves by many ulp of nu from one row to the next.
-The rescaling test solves single states, with muR0 drawn as well.  The
+The small-bead rate test solves three small eta per example.  The
+rescaling test solves single states, with muR0 drawn as well.  The
 transport test draws finite floats that favour the edges of the float range.
 """
 
@@ -20,7 +21,9 @@ from hypothesis import strategies as st  # noqa: E402
 from accrete.diffusion import SteadyProfiles  # noqa: E402
 from accrete.mechanics import ShellGeometry  # noqa: E402
 from accrete.strain_energy import NeoHookean  # noqa: E402
-from accrete.treadmill import ModelParams, compute_scales, solve, solve_eta  # noqa: E402
+from accrete.treadmill import (  # noqa: E402
+    ModelParams, compute_scales, small_bead_asymptote, solve, solve_eta,
+)
 
 ETAS = np.geomspace(1e-6, 1e6, 61)
 EPS = 2.0**-52
@@ -43,6 +46,25 @@ def test_thickness_falls_and_speed_is_bounded(G, b0, b1, drive):
     ratio, lower = table.V0 / s.Vstar, s.Vstarstar / s.Vstar
     assert np.all(ratio >= lower - 4.0 * EPS * abs(lower))
     assert np.all(ratio <= 1.0 + 4.0 * EPS)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(G=decades(-1.0, 1.0), b0=decades(-1.0, 1.0), b1=decades(-1.0, 1.0), drive=decades(-3.0, 1.0))
+def test_small_bead_thickness_converges_like_eta(G, b0, b1, drive):
+    """u -> u* = nu* - 1 like eta: the error falls tenfold per decade of eta.
+
+    A thin shell has w/wscale about k u**2 with k = 6 G/wscale, and u
+    expands in powers of eta/sqrt(4 k D), D = 1 - Vstarstar/Vstar the
+    dimensionless drive.  Over the drawn box that ratio is at most 0.6 at
+    eta = 1e-2 (G = 0.1, drive = 1e-3, b0 << b1), where the rate over the
+    first decade is still 7.4, and at most 0.06 from eta = 1e-3 on."""
+    p = ModelParams(
+        energy=NeoHookean(G), b0=b0, b1=b1, muR0=0.0, muR1=3.0,
+        mu_inf=3.0 * b0 / (b0 + b1) + drive, rhoR=1.0, M=1.0, r0=1.0,
+    )
+    u_star = small_bead_asymptote(p)[0] - 1.0
+    error = np.abs((solve_eta(p, np.array([1e-3, 1e-4, 1e-5])).nu - 1.0) / u_star - 1.0)
+    assert (error[:-1] / error[1:]).tolist() == [pytest.approx(10.0, rel=0.05)] * 2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

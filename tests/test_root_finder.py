@@ -9,7 +9,6 @@ input by input: each must raise or pass exactly as the plain numpy test
 
 import ast
 import dataclasses
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -244,13 +243,14 @@ def test_curve_guard(curve, lam, nonpositive, below_one):
         curve(lam)
 
 
-def _numpy_typed_guard(lam, bound, strict):
+def _numpy_typed_guard(lam, bound, strict, finite):
     """The stretch guards as they were written with numpy at module scope:
-    exact float and np.float64 compared directly, all else through numpy."""
+    exact float and np.float64 compared directly, all else through numpy.
+    With finite, +inf is rejected as well."""
     if type(lam) is float or type(lam) is np.float64:
-        return lam < bound if strict else lam <= bound
+        return (lam < bound if strict else lam <= bound) or (finite and lam == np.inf)
     below = np.asarray(lam) < bound if strict else np.asarray(lam) <= bound
-    return bool(np.any(below))
+    return bool(np.any(below)) or (finite and bool(np.any(np.asarray(lam) == np.inf)))
 
 
 def _equivalence_inputs(bound):
@@ -262,13 +262,13 @@ def _equivalence_inputs(bound):
 
 
 @pytest.mark.parametrize(
-    "guard, bound, strict",
-    [(_check_positive_stretch, 0.0, False), (_check_lam, 1.0, True)],
+    "guard, bound, strict, finite",
+    [(_check_positive_stretch, 0.0, False, True), (_check_lam, 1.0, True, False)],
     ids=["positive-stretch", "lam"],
 )
-def test_guards_decide_as_the_numpy_typed_guards(guard, bound, strict):
+def test_guards_decide_as_the_numpy_typed_guards(guard, bound, strict, finite):
     for lam in _equivalence_inputs(bound):
-        if _numpy_typed_guard(lam, bound, strict):
+        if _numpy_typed_guard(lam, bound, strict, finite):
             with pytest.raises(ValueError):
                 guard(lam)
         else:
@@ -341,19 +341,25 @@ def test_cli_import_builds_three_dataclasses(child_env):
 
 
 COLD_CODE = """
-import json, sys
+import sys
+
+def loaded():
+    return [sorted(m[8:] for m in sys.modules if m.startswith("accrete.")),
+            "json" in sys.modules, "numpy" in sys.modules]
+
 import accrete
-after_package = "numpy" in sys.modules
+after_package = loaded()
 import accrete.cli
-after_cli = "numpy" in sys.modules
+after_cli = loaded()
 code = accrete.cli.main(sys.argv[1:])
-print(json.dumps([after_package, after_cli, "numpy" in sys.modules, code]))
+print(repr([after_package, after_cli, loaded(), code]))
 """
 
 
 def run_cold(child_env, tmp_path, argv):
-    """[numpy after import accrete, after import accrete.cli, after the run,
-    exit code] of one cold process running cli.main(argv)."""
+    """Of one cold process running cli.main(argv): [numpy loaded after
+    import accrete, after import accrete.cli, after the run, exit code],
+    and [accrete's modules loaded, json loaded] at the same three points."""
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-c", COLD_CODE, *argv, "--out", str(out)],
@@ -364,7 +370,8 @@ def run_cold(child_env, tmp_path, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_size > 0
-    return json.loads(proc.stdout)
+    *points, code = ast.literal_eval(proc.stdout)
+    return [numpy for _, _, numpy in points] + [code], [[modules, json] for modules, json, _ in points]
 
 
 @pytest.mark.parametrize(
@@ -382,10 +389,30 @@ def run_cold(child_env, tmp_path, argv):
     ],
 )
 def test_only_the_array_commands_load_numpy(child_env, tmp_path, argv, loads_numpy):
-    assert run_cold(child_env, tmp_path, argv) == [False, False, loads_numpy, 0]
+    assert run_cold(child_env, tmp_path, argv)[0] == [False, False, loads_numpy, 0]
+
+
+CLI_MODULES = ["cli", "strain_energy", "treadmill"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["solve"], CLI_MODULES),
+        (["validate"], CLI_MODULES),
+        (["sweep"], CLI_MODULES),
+        (["profiles"], sorted([*CLI_MODULES, "diffusion", "mechanics"])),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_command_loads_only_the_modules_it_runs(child_env, tmp_path, argv, modules, fmt):
+    """import accrete loads no module of its own, import accrete.cli only
+    what every command needs, and only JSON output loads json."""
+    table = run_cold(child_env, tmp_path, [*argv, "--format", fmt])[1]
+    assert table == [[[], False], [CLI_MODULES, False], [modules, fmt == "json"]]
 
 
 def test_failing_validate_loads_no_numpy(child_env, tmp_path):
     # muR1 < muR0: the solvability check fails, so validate exits 1
     argv = ["validate", "--set", "chem.muR1=-1"]
-    assert run_cold(child_env, tmp_path, argv) == [False, False, False, 1]
+    assert run_cold(child_env, tmp_path, argv)[0] == [False, False, False, 1]

@@ -189,6 +189,25 @@ def test_dw_of_a_tiny_float_is_minus_inf_as_in_an_array():
     assert {c.name: c.passed for c in report.checks}["first-derivative-consistency"] is False
 
 
+@pytest.mark.parametrize("method", ["w", "dw", "d2w"])
+@pytest.mark.parametrize(
+    "lam",
+    [math.inf, np.float64(np.inf), np.array(np.inf), np.array([2.0, np.inf]), [2.0, math.inf]],
+    ids=["float", "float64", "0-d", "array", "list"],
+)
+def test_infinite_stretch_is_rejected(method, lam):
+    """w(inf) would be inf/inf = NaN and dw(inf) inf, with no error."""
+    with pytest.raises(ValueError, match="stretch must be finite"):
+        getattr(NeoHookean(1.0), method)(lam)
+
+
+@pytest.mark.parametrize("method", ["w", "dw", "d2w"])
+def test_nan_stretch_still_passes(method):
+    fn = getattr(NeoHookean(1.0), method)
+    assert math.isnan(fn(math.nan))
+    assert np.isnan(fn(np.array([2.0, np.nan]))).tolist() == [False, True]
+
+
 def test_dw_does_not_overflow_before_the_true_value_does():
     # 2 G overflows at G = 1e308, but G (lam - lam**-5) does not
     e = NeoHookean(1e308)
