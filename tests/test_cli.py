@@ -226,6 +226,70 @@ def test_parser_options_are_the_run_config_options():
     assert seen == options.keys()
 
 
+_COMMON_ACTIONS = [
+    (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction", None,
+     "show this help message and exit"),
+    (("--config",), "config", None, None, None, "_StoreAction", None,
+     "path to a key = value config file"),
+    (("--out",), "out", None, None, None, "_StoreAction", None, "output path (default: stdout)"),
+    (("--format",), "fmt", "csv", None, ("csv", "json"), "_StoreAction", None,
+     "output format (default: %(default)s)"),
+    (("--set",), "set", None, None, None, "_AppendAction", "KEY=VALUE",
+     "override a config entry, e.g. --set chem.mu_inf=2.0 (repeatable)"),
+]
+
+
+def test_parser_structure_is_pinned():
+    # the parser as argparse holds it, not as it renders help (that layout
+    # varies between Python versions): per action its option strings, dest,
+    # default, type, choices, kind, metavar and help, in order
+    parser = cli._build_parser()
+    assert (parser.prog, parser.description) == (
+        "accrete", "Steady treadmilling of an elastic shell accreting on a rigid sphere.")
+    (sub,) = parser._subparsers._group_actions
+    assert (sub.dest, sub.required) == ("command", True)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        ("solve", "solve a single treadmilling state"),
+        ("sweep", "sweep eta and tabulate the states"),
+        ("profiles", "radial stress and transport profiles"),
+        ("validate", "energy checks and uniqueness oracle"),
+    ]
+    own = {
+        "solve": [],
+        "sweep": [
+            (("--eta-min",), "eta_min", 1e-6, float, None, "_StoreAction", None, None),
+            (("--eta-max",), "eta_max", 1e6, float, None, "_StoreAction", None, None),
+            (("--points",), "points", 121, int, None, "_StoreAction", None,
+             "number of eta points (default: %(default)s)"),
+            (("--linear",), "linear", False, None, None, "_StoreTrueAction", None,
+             "space eta linearly instead of logarithmically"),
+        ],
+        "profiles": [
+            (("--grid-n",), "grid_n", 101, int, None, "_StoreAction", None,
+             "number of radial samples (default: %(default)s)"),
+            (("--r1",), "r1", None, float, None, "_StoreAction", None,
+             "outer radius for mechanics-only profiles (skips the solve)"),
+        ],
+        "validate": [],
+    }
+    assert list(sub.choices) == list(own)
+    for command, subparser in sub.choices.items():
+        actions = [
+            (tuple(a.option_strings), a.dest, a.default, a.type,
+             None if a.choices is None else tuple(a.choices), type(a).__name__, a.metavar, a.help)
+            for a in subparser._actions
+        ]
+        assert actions == _COMMON_ACTIONS + own[command]
+        assert subparser.prog == f"accrete {command}"
+
+
+def test_main_calls_the_command_bound_at_call_time(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda cfg: seen.append(cfg.fmt) or 0)
+    assert run(capsys, ["solve", "--format", "json"]) == (0, "", "")
+    assert seen == ["json"]
+
+
 @pytest.mark.parametrize("rhoR", ["1e-200", "1e200"])
 def test_scales_out_of_float_range_is_input_error(capsys, rhoR):
     # rhoR**2 underflows to zero or overflows, and ellStar with it
