@@ -96,7 +96,7 @@ class ConfigError(Exception):
 
 
 # Config key -> (its RunConfig field, default), in the order of the JSON
-# params block; then the command options, RunConfig field -> default.
+# params block.
 _KEYS = {
     "energy.kind": ("energy_kind", "neo-hookean"),
     "energy.G": ("G", 1.0),
@@ -109,8 +109,28 @@ _KEYS = {
     "transport.M_inner": ("M_inner", 1.0),
     "geom.r0": ("r0", 1.0),
 }
-_OPTIONS = {"out": None, "fmt": "csv", "eta_min": 1e-6, "eta_max": 1e6, "points": 121,
-            "linear": False, "grid_n": 101, "r1": None}
+# Command -> (its help, its options): RunConfig field -> argparse spec, the
+# default included.  An option's flag is its field with - for _.
+_COMMANDS = {
+    "solve": ("solve a single treadmilling state", {}),
+    "sweep": ("sweep eta and tabulate the states", {
+        "eta_min": dict(type=float, default=1e-6),
+        "eta_max": dict(type=float, default=1e6),
+        "points": dict(type=int, default=121, help="number of eta points (default: %(default)s)"),
+        "linear": dict(action="store_true", default=False,
+                       help="space eta linearly instead of logarithmically"),
+    }),
+    "profiles": ("radial stress and transport profiles", {
+        "grid_n": dict(type=int, default=101,
+                       help="number of radial samples (default: %(default)s)"),
+        "r1": dict(type=float, default=None,
+                   help="outer radius for mechanics-only profiles (skips the solve)"),
+    }),
+    "validate": ("energy checks and uniqueness oracle", {}),
+}
+# The options of every command, RunConfig field -> default.
+_OPTIONS = {"out": None, "fmt": "csv", **{
+    name: spec["default"] for _, options in _COMMANDS.values() for name, spec in options.items()}}
 _DEFAULTS = {**dict(_KEYS.values()), **_OPTIONS}
 
 
@@ -295,8 +315,11 @@ def _write(cfg: RunConfig, doc: dict, table: _Table) -> None:
     if cfg.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {cfg.out!r}: {exc}") from exc
 
 
 def _params_doc(cfg: RunConfig) -> dict:
@@ -480,61 +503,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Steady treadmilling of an elastic shell accreting on a rigid sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default=_OPTIONS["fmt"],
-            dest="fmt",
-            help="output format (default: %(default)s)",
-        )
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a config entry, e.g. --set chem.mu_inf=2.0 (repeatable)",
-        )
-
-    p_solve = sub.add_parser("solve", help="solve a single treadmilling state")
-    add_common(p_solve)
-
-    p_sweep = sub.add_parser("sweep", help="sweep eta and tabulate the states")
-    add_common(p_sweep)
-    p_sweep.add_argument("--eta-min", type=float, default=_OPTIONS["eta_min"], dest="eta_min")
-    p_sweep.add_argument("--eta-max", type=float, default=_OPTIONS["eta_max"], dest="eta_max")
-    p_sweep.add_argument(
-        "--points",
-        type=int,
-        default=_OPTIONS["points"],
-        help="number of eta points (default: %(default)s)",
-    )
-    p_sweep.add_argument(
-        "--linear",
-        action="store_true",
-        help="space eta linearly instead of logarithmically",
-    )
-
-    p_prof = sub.add_parser("profiles", help="radial stress and transport profiles")
-    add_common(p_prof)
-    p_prof.add_argument(
-        "--grid-n",
-        type=int,
-        default=_OPTIONS["grid_n"],
-        dest="grid_n",
-        help="number of radial samples (default: %(default)s)",
-    )
-    p_prof.add_argument(
-        "--r1",
-        type=float,
-        help="outer radius for mechanics-only profiles (skips the solve)",
-    )
-
-    p_val = sub.add_parser("validate", help="energy checks and uniqueness oracle")
-    add_common(p_val)
-
+        p.add_argument("--format", choices=("csv", "json"), default=_OPTIONS["fmt"], dest="fmt",
+                       help="output format (default: %(default)s)")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config entry, e.g. --set chem.mu_inf=2.0 (repeatable)")
+        for name, spec in options.items():
+            p.add_argument("--" + name.replace("_", "-"), **spec)
     return parser
 
 
@@ -542,9 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        command = {"solve": cmd_solve, "sweep": cmd_sweep, "profiles": cmd_profiles,
-                   "validate": cmd_validate}[args.command]
-        return command(cfg)
+        return globals()[f"cmd_{args.command}"](cfg)  # at call time, so a patched cmd_* runs
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

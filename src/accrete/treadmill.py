@@ -199,25 +199,21 @@ def solvable(params: ModelParams) -> Solvability:
     A state exists iff Vstar > 0 and Vstar > Vstarstar; in terms of the
     chemistry these are muR1 > muR0 and mu_inf > muStar.
     """
-    reason = _unsolvable(*_scale_values(params)[:2])
-    return Solvability(reason is None, reason)
-
-
-def _unsolvable(Vstar: float, Vstarstar: float) -> str | None:
-    """The violated existence inequality, or None when a state exists."""
-    if not Vstar > 0.0:
-        return "Vstar <= 0 (requires muR1 > muR0)"
-    if not Vstar > Vstarstar:
-        return "Vstar <= Vstarstar (requires mu_inf > muStar)"
-    return None
+    try:
+        _solvable_scales(params)
+    except NoTreadmillingState as exc:
+        return Solvability(False, exc.reason)
+    return Solvability(True)
 
 
 def _solvable_scales(params: ModelParams) -> tuple[float, float, float, float, float]:
     """_scale_values(params); raises NoTreadmillingState when no state exists."""
     s = _scale_values(params)
-    reason = _unsolvable(s[0], s[1])
-    if reason is not None:
-        raise NoTreadmillingState(reason)
+    Vstar, Vstarstar = s[:2]
+    if not Vstar > 0.0:
+        raise NoTreadmillingState("Vstar <= 0 (requires muR1 > muR0)")
+    if not Vstar > Vstarstar:
+        raise NoTreadmillingState("Vstar <= Vstarstar (requires mu_inf > muStar)")
     return s
 
 

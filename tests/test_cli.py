@@ -105,6 +105,19 @@ def test_solve_writes_file(tmp_path, capsys):
     assert path.read_text().startswith("name,value\n")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("target", ["missing/state.out", "."])
+def test_unwritable_output_file_is_input_error(tmp_path, capsys, target, fmt):
+    # a missing directory (FileNotFoundError) or a directory (IsADirectoryError)
+    path = tmp_path / target
+    code, out, err = run(capsys, ["solve", "--out", str(path), "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write output file {str(path)!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_config_file_and_set_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -196,6 +196,8 @@ def test_stress_profile_samples():
     assert prof.sigma_r[-1] == 0.0
     # lam_r, and with it the velocity, decays as (r0/r)**2
     assert prof.lam_r[0] == 1.0 and prof.lam_r[-1] == 0.25
+    with pytest.raises(ValueError, match="^need at least 2 sample points$"):
+        stress_profile(geom, e, 1)
 
 
 def test_profile_consistent_with_pointwise_evaluations():

@@ -359,6 +359,9 @@ def test_validate_flags_sign_violation():
     assert not names["sign-condition"]
     assert not names["positive-away-from-identity"]
     assert not names["stationary-at-identity"]
+    # exactly the failed checks, in order
+    assert report.failed() == [report.checks[i] for i in (1, 2, 3, 6)]
+    assert report.checks[6].name == "second-derivative-consistency"
 
 
 def test_validate_flags_wrong_derivative():

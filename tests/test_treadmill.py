@@ -419,6 +419,8 @@ def test_solve_eta_rejects_rows_out_of_float_range():
         solve_eta(make_params(), np.array([1.0, 1e308]))
     with pytest.raises(NoTreadmillingState):
         solve_eta(make_params(muR1=-2.0), np.array([1.0]))
+    with pytest.raises(ValueError, match="^eta must be a 1-D array$"):
+        solve_eta(make_params(), np.ones((2, 2)))
 
 
 @pytest.mark.parametrize(
