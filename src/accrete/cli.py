@@ -456,35 +456,30 @@ def cmd_profiles(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     """Run the energy checks and the uniqueness oracle; nonzero on failure."""
-    report = strain_energy.validate(cfg.params.energy, 0.1, 10.0, 100)
-    checks = list(report.checks)
-
+    checks = strain_energy.validate(cfg.params.energy, 0.1, 10.0, 100).checks
     dec = treadmill.solvable(cfg.params)
-    checks.append(
+    checks += (
         strain_energy.CheckResult(
             "treadmilling-solvable",
             dec.ok,
             dec.reason or "Vstar > 0 and Vstar > Vstarstar",
-        )
+        ),
     )
     if dec.ok:
         # Scan to past the solved root; the oracle counts sign changes on
         # its own.  A thin shell can solve to nu == 1.0, hence the floor.
         lam_max = max(2.0, 2.0 * treadmill.solve(cfg.params).nu - 1.0)
         brackets = treadmill.grid_scan_oracle(cfg.params, lam_max, 10000)
-        checks.append(
+        checks += (
             strain_energy.CheckResult(
                 "uniqueness-oracle",
                 len(brackets) == 1,
                 f"{len(brackets)} sign-change bracket(s) found",
-            )
+            ),
         )
 
-    ok = all(c.passed for c in checks)
-    doc = {
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
-        "ok": ok,
-    }
+    report = strain_energy.ValidationReport(checks)
+    doc = {"checks": [c._asdict() for c in checks], "ok": report.ok}
     table = _Table(
         ("check", "passed", "detail"),
         [
@@ -494,7 +489,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         ],
     )
     _write(cfg, doc, table)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:

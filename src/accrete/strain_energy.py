@@ -187,6 +187,8 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
 
     The energy is called one float at a time, without numpy, so an energy
     that raises on a float raises here (NeoHookean: d2w below lam = 4e-52).
+    w, dw and d2w are evaluated once at each grid point, and every check
+    reads those values.
 
     Parameters
     ----------
@@ -207,79 +209,58 @@ def validate(energy: ReducedEnergy, lam_min: float, lam_max: float, n: int) -> V
         raise ValueError("need at least 3 grid points")
 
     grid = _geomspace(lam_min, lam_max, n)
-    off_identity = [x for x in grid if abs(x - 1.0) > 1e-9]
     gscale = modulus_scale(energy)
-    checks: list[CheckResult] = []
+    w1, dw1 = float(energy.w(1.0)), float(energy.dw(1.0))
+    w_vals = [float(energy.w(x)) for x in grid]
+    dw_vals = [float(energy.dw(x)) for x in grid]
+    off_identity = [i for i, x in enumerate(grid) if abs(x - 1.0) > 1e-9]
+    w_off = [w_vals[i] for i in off_identity]
+    sign_ok = all(dw_vals[i] * (grid[i] - 1.0) > 0.0 for i in off_identity)
+    # Unboundedness is untestable as a limit; check monotone growth on the
+    # tensile tail, which ends at lam_max, and a gain over the identity value.
+    tail_w = [v for x, v in zip(grid, w_vals) if x >= 1.0]
+    growing = all(b - a > 0.0 for a, b in zip(tail_w, tail_w[1:]))
 
-    w1 = float(energy.w(1.0))
-    checks.append(
+    # Relative deviations of dw and d2w from central differences of w; a NaN
+    # anywhere on the grid makes the deviation NaN, so the check fails.
+    first, second = [], []
+    for x, wx, dwx in zip(grid, w_vals, dw_vals):
+        s, t = 1e-5 * x, 1e-4 * x
+        fd1 = (float(energy.w(x + s)) - float(energy.w(x - s))) / (2.0 * s)
+        fd2 = (float(energy.w(x + t)) - 2.0 * wx + float(energy.w(x - t))) / (t * t)
+        d2wx = float(energy.d2w(x))
+        first.append(abs(dwx - fd1) / max(abs(dwx), gscale))
+        second.append(abs(d2wx - fd2) / max(abs(d2wx), gscale))
+    worst1, worst2 = _extreme(max, first), _extreme(max, second)
+
+    return ValidationReport((
         CheckResult(
             "zero-at-identity",
             abs(w1) <= 1e-12 * gscale,
             f"w(1) = {w1:.3e}",
-        )
-    )
-
-    dw1 = float(energy.dw(1.0))
-    checks.append(
+        ),
         CheckResult(
             "stationary-at-identity",
             abs(dw1) <= 1e-10 * gscale,
             f"dw(1) = {dw1:.3e}",
-        )
-    )
-
-    w_vals = [float(energy.w(x)) for x in off_identity]
-    checks.append(
+        ),
         CheckResult(
             "positive-away-from-identity",
-            all(v > 0.0 for v in w_vals),
-            f"min w off identity = {_extreme(min, w_vals):.3e}",
-        )
-    )
-
-    sign_ok = all(float(energy.dw(x)) * (x - 1.0) > 0.0 for x in off_identity)
-    checks.append(
+            all(v > 0.0 for v in w_off),
+            f"min w off identity = {_extreme(min, w_off):.3e}",
+        ),
         CheckResult(
             "sign-condition",
             sign_ok,
             "dw(lam)*(lam-1) > 0 off identity" if sign_ok else "sign violation on grid",
-        )
-    )
-
-    # Unboundedness is untestable as a limit; check monotone growth on the
-    # tensile tail, which ends at lam_max, and a gain over the identity value.
-    tail_w = [float(energy.w(x)) for x in grid if x >= 1.0]
-    growing = all(b - a > 0.0 for a, b in zip(tail_w, tail_w[1:]))
-    checks.append(
+        ),
         CheckResult(
             "unbounded-growth",
             growing and tail_w[-1] > w1 + gscale,
             f"w({lam_max:g}) - w(1) = {tail_w[-1] - w1:.3e}",
-        )
-    )
-
-    checks.append(_derivative_check(energy, grid, 1, gscale))
-    checks.append(_derivative_check(energy, grid, 2, gscale))
-
-    return ValidationReport(tuple(checks))
-
-
-def _derivative_check(energy: ReducedEnergy, grid: list, order: int, gscale: float) -> CheckResult:
-    """Compare dw or d2w against central finite differences of w on grid.
-
-    A NaN anywhere on the grid makes the deviation NaN, so the check fails.
-    """
-    rel = 1e-5 if order == 1 else 1e-4
-    deviations = []
-    for x in grid:
-        s = rel * x
-        wp, wm = float(energy.w(x + s)), float(energy.w(x - s))
-        if order == 1:
-            fd, exact = (wp - wm) / (2.0 * s), float(energy.dw(x))
-        else:
-            fd, exact = (wp - 2.0 * float(energy.w(x)) + wm) / (s * s), float(energy.d2w(x))
-        deviations.append(abs(exact - fd) / max(abs(exact), gscale))
-    worst = _extreme(max, deviations)
-    name = "first-derivative-consistency" if order == 1 else "second-derivative-consistency"
-    return CheckResult(name, worst <= 1e-6, f"max relative deviation {worst:.3e}")
+        ),
+        CheckResult("first-derivative-consistency", worst1 <= 1e-6,
+                    f"max relative deviation {worst1:.3e}"),
+        CheckResult("second-derivative-consistency", worst2 <= 1e-6,
+                    f"max relative deviation {worst2:.3e}"),
+    ))

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import warnings
 from itertools import zip_longest
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,17 +209,6 @@ def test_every_command_checks_every_parameter(capsys, argv, item, fmt):
     assert err == f"error: {CHECKED_ITEMS[item]}\n"
 
 
-def test_readme_config_table_is_the_run_config_table():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Configuration\n", 1)[1].split("\n### ", 1)[0]
-    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
-    table = [tuple(cell.strip().strip("`") for cell in row) for row in rows]
-    defaults = cli.RunConfig._field_defaults
-    keys = [(key, str(defaults[field])) for key, (field, _) in cli._KEYS.items()]
-    assert len(keys) == 10
-    assert table == keys
-
-
 def test_parser_options_are_the_run_config_options():
     # every command option sets the RunConfig field of its name, with its default
     keyed = {field for field, _ in cli._KEYS.values()}
@@ -328,6 +316,12 @@ def test_numeric_failure_exit_code(capsys, monkeypatch, command):
     code, _, err = run(capsys, [command])
     assert code == 4
     assert "numeric failure" in err
+
+
+def test_root_iteration_limit_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli.treadmill, "_MAX_STEPS", 0)
+    code, out, err = run(capsys, ["solve"])
+    assert (code, out, err) == (4, "", "numeric failure: root iteration failed to converge\n")
 
 
 # ---------------------------------------------------------------------------

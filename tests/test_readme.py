@@ -1,9 +1,12 @@
-"""The python examples of README.md run as written."""
+"""The python examples of README.md run as written, and its config table
+is the CLI's."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+
+from accrete import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +24,13 @@ def test_readme_python_examples_run_in_order():
     assert ns["bead"].sigma_r == -energy.w(geom.nu)
     assert isinstance(ns["h"], np.ndarray) and ns["h"].shape == ns["fields"].sigma_r.shape
     assert np.all(np.diff(ns["thickness"]) <= 0.0)
+
+
+def test_readme_config_table_is_the_run_config_table():
+    # each row's key and default, in the order of cli._KEYS
+    section = README.read_text(encoding="utf-8").split("### Configuration\n", 1)[1]
+    rows = [line.split("|")[1:3] for line in section.split("\n### ", 1)[0].splitlines()
+            if line.startswith("| `")]
+    table = [tuple(cell.strip().strip("`") for cell in row) for row in rows]
+    assert len(table) == 10
+    assert table == [(key, str(default)) for key, (_, default) in cli._KEYS.items()]

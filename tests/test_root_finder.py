@@ -18,7 +18,7 @@ import pytest
 
 import accrete
 from accrete import treadmill
-from accrete.strain_energy import NeoHookean, _check_positive_stretch
+from accrete.strain_energy import NeoHookean, _check_positive_stretch, validate
 from accrete.treadmill import (
     ModelParams,
     NoTreadmillingState,
@@ -98,6 +98,16 @@ def test_energy_calls_per_solve():
     assert np.median(w_calls) <= 3
     assert max(w_calls) <= 9
     assert max(dw_calls) <= 7
+
+
+def test_energy_calls_per_validate():
+    # w, dw and d2w once at each of the 100 points of the CLI's grid, w at
+    # two pairs of finite-difference neighbours of each, and d2w(1), w(1) and
+    # dw(1) once: 703 calls, where checking each assumption on its own
+    # evaluation took 953 (w 651, dw 201, d2w 101)
+    e = CountingEnergy(1.0)
+    assert validate(e, 0.1, 10.0, 100).ok
+    assert e.calls == {"w": 501, "dw": 101, "d2w": 101}
 
 
 def test_solve_builds_no_scales_or_solvability(monkeypatch):

@@ -69,6 +69,16 @@ def test_domain_errors(bad):
         e.d2w(bad)
 
 
+@pytest.mark.parametrize("method", ["w", "dw", "d2w"])
+def test_base_energy_defines_no_method(method):
+    with pytest.raises(NotImplementedError):
+        getattr(ReducedEnergy(), method)(2.0)
+
+
+def test_neo_hookean_repr():
+    assert repr(NeoHookean(2.5)) == "NeoHookean(G=2.5)"
+
+
 @pytest.mark.parametrize("G", [0.0, -2.0, math.inf])
 def test_modulus_must_be_positive(G):
     with pytest.raises(ValueError):

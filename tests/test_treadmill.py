@@ -501,6 +501,40 @@ def test_bounded_energy_raises_numeric_failure():
         solve_eta(p, np.geomspace(1e-3, 1e3, 7))
 
 
+def test_root_iteration_limit_is_numeric_failure(monkeypatch):
+    # no input is known to reach the limit; with no step allowed, every one does
+    monkeypatch.setattr(treadmill, "_MAX_STEPS", 0)
+    with pytest.raises(NumericFailure, match="^root iteration failed to converge$"):
+        solve(make_params())
+    with pytest.raises(NumericFailure, match="^root iteration failed to converge$"):
+        solve_eta(make_params(), np.geomspace(1e-3, 1e3, 7))
+
+
+# Solvable inputs whose solved state has an infinite field; the CLI exits 4
+# on both, with "non-finite value in the output".  The library should raise
+# or return finite fields.
+NONFINITE_STATES = {
+    "r1-overflows": ModelParams(NeoHookean(3.0), 1e12, 1e-12, -2.9999999999999996, -0.5,
+                                1e-12, 1e-12, 2.5, 1.7976931348623157e308),
+    "mu0-overflows": ModelParams(NeoHookean(2.5), 1e200, 1e-300, -1e200, -1e-12, 0.0, 1e-6,
+                                 5e-324, 7.0),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="solve returns r1 = inf or mu0 = f0 = -inf here")
+@pytest.mark.parametrize("params", NONFINITE_STATES.values(), ids=NONFINITE_STATES)
+@pytest.mark.parametrize("batch", [False, True], ids=["solve", "solve_eta"])
+def test_solved_state_is_finite_or_raises(params, batch):
+    try:
+        if batch:
+            state = solve_eta(params, np.array([compute_scales(params).eta]))
+        else:
+            state = solve(params)
+    except (NumericFailure, ValueError):
+        return
+    assert np.all(np.isfinite(dataclasses.astuple(state)))
+
+
 # ---------------------------------------------------------------------------
 # uniqueness oracle
 
