@@ -9,8 +9,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from collections import Counter
 from itertools import zip_longest
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +118,23 @@ def test_unwritable_output_file_is_input_error(tmp_path, capsys, target, fmt):
     assert err.startswith(f"error: cannot write output file {str(path)!r}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("read", [0, 10])
+def test_a_reader_that_stops_early_is_no_failure(child_env, read, fmt):
+    # as `accrete sweep | head -c 10`: the text is far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "accrete.cli", "sweep", "--points", "3000", "--format", fmt],
+        env=child_env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_config_file_and_set_overrides(tmp_path, capsys):
@@ -557,6 +577,19 @@ def test_nonfinite_output_writes_no_file(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nonfinite_output_leaves_an_existing_file_as_it_was(tmp_path, capsys, fmt):
+    # every check runs before --out is opened, so the file is not truncated
+    path = tmp_path / "sweep.out"
+    path.write_bytes(b"an earlier run\n")
+    argv = ["sweep", "--eta-min", "1e-320", "--format", fmt, "--out", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err == "numeric failure: non-finite d_diffusion_limited_est in the output\n"
+    assert path.read_bytes() == b"an earlier run\n"
+
+
 @pytest.mark.parametrize("grid_n", ["101", "1000"], ids=["floats", "arrays"])
 def test_profiles_whose_potential_overflows_is_a_numeric_failure(capsys, grid_n):
     """V0 = 1e299 solves, but rhoR r0 V0 / M_inner = 1e309 overflows, so the
@@ -971,12 +1004,19 @@ def tables(draw):
     return cli._Table(tuple(f"c{i}" for i in range(len(columns))), columns)
 
 
+# Blocks of 1, 2 and 3 rows put the block edges of a drawn table of up to
+# 12 rows at every place, next to the ends of its short columns.
+BLOCKS = [1, 2, 3, cli._BLOCK]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(tables())
 def test_writer_matches_the_per_cell_writer(table):
-    assert cli._csv_text(table) == reference_csv(table)
     doc = {"params": {"G": 1.0}, "rows": table}
-    assert cli._json_text(doc) == reference_json(doc)
+    for block in BLOCKS:
+        with mock.patch.object(cli, "_BLOCK", block):
+            assert "".join(cli._csv_text(table)) == reference_csv(table)
+            assert "".join(cli._json_text(doc)) == reference_json(doc)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -992,9 +1032,13 @@ def test_writer_raises_on_a_nonfinite_cell_in_any_column(table, data):
     # every place that held the drawn column object holds the bad one
     table = cli._Table(table.names, [column if c is old else c for c in table.columns])
     first = next(i for i, c in enumerate(table.columns) if c is column)
-    for text in (cli._csv_text, reference_csv, lambda t: cli._json_text({"rows": t})):
-        with pytest.raises(NumericFailure, match=f"non-finite c{first} in the output"):
-            text(table)
+    for block in BLOCKS:
+        # the call raises, before any piece of the text is taken
+        for text in (cli._csv_text, reference_csv, lambda t: cli._json_text({"rows": t})):
+            with mock.patch.object(cli, "_BLOCK", block), pytest.raises(
+                NumericFailure, match=f"non-finite c{first} in the output"
+            ):
+                text(table)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1025,16 +1069,60 @@ def test_every_command_writes_the_per_cell_writers_bytes(capsys, monkeypatch, ar
     assert out == (reference_json(doc) if fmt == "json" else reference_csv(table))
 
 
-def conversions(table, columns):
-    """Float-to-text conversions of the writer, from the columns _columns
-    gives for table: one per float cell left for the % of _fill, in every
-    place that holds it, and one per str made from floats, where a list
-    held twice counts once and a list of one repeated str object once."""
-    numeric = [len(c) > 0 and isinstance(c[0], float) for c in table.columns]
-    left = sum(isinstance(x, float) for (c, _, _), n in zip(columns, numeric) if n for x in c)
-    made = {id(c): len(c) if len(set(map(id, c))) > 1 else 1
-            for (c, _, _), n in zip(columns, numeric) if n and isinstance(c[0], str)}
-    return left + sum(made.values())
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_memory_does_not_grow_with_the_table(tmp_path, monkeypatch, fmt):
+    """The tracemalloc peak of _write, which does not depend on the host's
+    timing, for a profiles table of 10 000 and of 40 000 points: the writer
+    holds one block of cli._BLOCK rows, so four times the rows take at most
+    1.5 times the memory (a writer of the whole text takes four times)."""
+    peaks, write = [], cli._write
+
+    def traced(cfg, doc, table):
+        tracemalloc.start()
+        try:
+            write(cfg, doc, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write", traced)
+    path = tmp_path / "profiles.out"
+    for n in ("10000", "40000"):
+        assert cli.main(["profiles", "--grid-n", n, "--format", fmt, "--out", str(path)]) == 0
+    small, large = peaks
+    assert large <= 1.5 * small, (small, large)
+
+
+def conversions(monkeypatch):
+    """A list that ends up holding, for each table written, its float-to-text
+    conversions: one per float cell that the cells of a numeric column hand
+    to the % of _fill, in every place that holds the column, and one per
+    distinct str object they hand it.  Every block's cells are kept, so no
+    str id is reused, and a str repeated across blocks counts once."""
+    counts, columns = [], cli._columns
+
+    def count(table, *args):
+        numeric = [len(c) > 0 and isinstance(c[0], float) for c in table.columns]
+        out = columns(table, *args)
+        places = Counter(cells for (_, cells, _, _), n in zip(out, numeric) if n)
+        blocks = []
+
+        def kept(cells):
+            def take(lo, hi):
+                blocks.append((places[cells], cells(lo, hi)))
+                return blocks[-1][1]
+            return take
+
+        def total():
+            floats = sum(k * sum(isinstance(x, float) for x in b) for k, b in blocks)
+            return floats + len({id(x) for _, b in blocks for x in b if isinstance(x, str)})
+
+        counts.append(total)
+        wrapped = {cells: kept(cells) for cells in places}
+        return [(n, wrapped.get(cells, cells), f, e) for n, cells, f, e in out]
+
+    monkeypatch.setattr(cli, "_columns", count)
+    return counts
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1049,21 +1137,17 @@ def conversions(table, columns):
         (["profiles", "--grid-n", "257"], 7, 3),
         (["profiles", "--r1", "2.5", "--grid-n", "256"], 5, 0),
         (["profiles", "--r1", "2.5", "--grid-n", "257"], 5, 0),
+        # in blocks of cli._BLOCK rows
+        (["sweep", "--points", "2500"], 9, 1),
+        (["profiles", "--grid-n", "2500"], 7, 3),
     ],
 )
 def test_each_distinct_column_is_converted_once(capsys, monkeypatch, argv, per_row, extra, fmt):
     """A count of float-to-text conversions, which does not depend on the
-    host, on both sides of cli._ARRAY_ROWS."""
-    counts, columns = [], cli._columns
-
-    def count(table, *args):
-        out = columns(table, *args)
-        counts.append(conversions(table, out))
-        return out
-
-    monkeypatch.setattr(cli, "_columns", count)
+    host, on both sides of cli._ARRAY_ROWS and over several blocks."""
+    counts = conversions(monkeypatch)
     assert run(capsys, [*argv, "--format", fmt])[0] == 0
-    assert counts == [per_row * int(argv[-1]) + extra]
+    assert [total() for total in counts] == [per_row * int(argv[-1]) + extra]
 
 
 def test_stdout_and_file_output_agree(tmp_path, capsys):
