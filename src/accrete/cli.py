@@ -12,21 +12,25 @@ inputs give byte-identical files.  Every check on the output runs before
 the output is opened; then the text goes out block by block, so the
 writer's memory does not grow with the table.
 
-Exit codes: 0 success, 1 failed validation check, 2 malformed input,
-3 no treadmilling state, 4 numeric failure.
+Exit codes: 0 success, 1 failed validation check, 2 malformed input or
+output that cannot be written, 3 no treadmilling state, 4 numeric failure.
 
 Each command loads only the modules it runs.  ``import accrete`` loads none
 of accrete's modules until a name is used; ``import accrete.cli`` loads
 strain_energy and treadmill, which every command needs.  Only ``profiles``
 also loads mechanics and diffusion, only JSON output loads json, and only
 a sweep or profile of more than _ARRAY_ROWS (256) rows loads numpy; every
-other run computes on floats, with the same bits.
+other run computes on floats, with the same bits.  Such a sweep hands the
+writer eta, the solved columns and the diffusion-limited estimate as
+float64 arrays.  The parser is built once per process, on the first main
+call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -335,11 +339,16 @@ def _write(cfg: RunConfig, doc: dict, table: _Table) -> None:
         try:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader stopped reading, as `| head` does, which is no
-            # failure of the run.  The rest goes to devnull, so that the
-            # flush at exit does not raise again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError as exc:
+            # The rest goes to devnull, so that the flush at exit does not
+            # raise again.  A reader that stopped reading, as `| head` does,
+            # is no failure of the run; any other failure exits 2, as one
+            # on --out does.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if not isinstance(exc, BrokenPipeError):
+                raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
@@ -387,19 +396,22 @@ def _sweep_rows(cfg: RunConfig) -> list:
     def cells(st):  # of one row's state (floats) or of every row's (arrays)
         return st.nu, st.nu - 1.0, st.V0, st.V0 / scales.Vstar, st.mu0, st.f0, st.f1
 
-    # Each row is bit for bit solve at r0 = eta * ellStar: in one array pass,
-    # or row by row with the same checks and errors.
-    if cfg.points > _ARRAY_ROWS:
-        import numpy as np
-        with np.errstate(over="ignore", invalid="ignore"):
-            columns = cells(treadmill.solve_eta(cfg.params, np.array(etas)))
-    else:
-        columns = [[*c] for c in zip(*map(cells, treadmill._solve_rows(cfg.params, etas)))]
     # Vstar and Vstarstar do not depend on r0, so the diffusion-limited
     # estimate (Vstar/Vstarstar - 1)/eta of large_bead_asymptote needs only
     # the base scales; it does not apply when Vstarstar <= 0.
     c = scales.Vstar / scales.Vstarstar - 1.0 if scales.Vstarstar > 0.0 else None
-    d_diffusion_limited = [] if c is None else [c / eta for eta in etas]
+    # Each row is bit for bit solve at r0 = eta * ellStar: in one array pass,
+    # with eta and the estimate left as arrays for the writer, or row by row
+    # with the same checks and errors.
+    if cfg.points > _ARRAY_ROWS:
+        import numpy as np
+        etas = np.array(etas)
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = cells(treadmill.solve_eta(cfg.params, etas))
+            d_diffusion_limited = [] if c is None else c / etas
+    else:
+        columns = [[*col] for col in zip(*map(cells, treadmill._solve_rows(cfg.params, etas)))]
+        d_diffusion_limited = [] if c is None else [c / eta for eta in etas]
     return [etas, *columns, [nu_star - 1.0] * len(etas), d_diffusion_limited]
 
 
@@ -518,6 +530,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
+@functools.cache  # parse_args does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accrete",

@@ -273,8 +273,11 @@ def _estimates(drive: float, eta, k):
         scale = np.where(big, a, 1.0)
         drive, c1, k = drive / scale, np.where(big, eta / a - drive, c1), k / scale
     u = np.where(c1 > 0.0, drive / c1, np.inf)
+    positive = k > 0.0
+    if not positive.any():
+        return u
     s = np.sqrt(drive / k)
-    return np.where(k > 0.0, _polish(drive, a, c1, k, np.where(s < u, s, u)), u)
+    return np.where(positive, _polish(drive, a, c1, k, np.where(s < u, s, u)), u)
 
 
 def _polish(drive, a, c1, k, u):

@@ -4,6 +4,7 @@ Most tests drive main() directly and read stdout through capsys; one
 subprocess smoke test covers the installed module entry point.
 """
 
+import argparse
 import json
 import math
 import os
@@ -137,6 +138,23 @@ def test_a_reader_that_stops_early_is_no_failure(child_env, read, fmt):
     proc.stderr.close()
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--points", "3000"]])
+def test_a_full_stdout_is_input_error(child_env, argv):
+    # as --out on a full disk: one error line and exit 2, no traceback, and
+    # the flush at exit does not fail again (which would exit 120)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "accrete.cli", *argv],
+            env=child_env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_config_file_and_set_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -245,6 +263,22 @@ def test_parser_options_are_the_run_config_options():
         assert args == {name: options.get(name, "no field") for name in args}
         seen |= args.keys()
     assert seen == options.keys()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # a parser and its four subparsers, for the first main call only
+    built = []
+
+    def init(self, *args, _f=argparse.ArgumentParser.__init__, **kwargs):
+        built.append(kwargs.get("prog"))
+        _f(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    cli._build_parser.cache_clear()
+    assert run(capsys, ["solve"])[0] == 0
+    assert run(capsys, ["sweep", "--points", "3", "--set", "chem.mu_inf=2.0"])[0] == 0
+    assert len(built) == 5
+    assert cli._build_parser() is cli._build_parser()
 
 
 _COMMON_ACTIONS = [
@@ -724,6 +758,18 @@ def test_row_count_picks_the_path(capsys, monkeypatch, argv, traced):
         monkeypatch.setattr(owner, name, spy)
     assert run(capsys, argv)[0] == 0
     assert calls == ([] if traced is None else [traced])
+
+
+def test_array_path_sweep_hands_the_writer_arrays(capsys, monkeypatch):
+    # eta and the diffusion-limited estimate too, so the writer converts
+    # them by tolist(), not cell by cell
+    tables = []
+    monkeypatch.setattr(cli, "_write", lambda cfg, doc, table: tables.append(table))
+    assert run(capsys, ["sweep", "--points", "257"])[0] == 0
+    (table,) = tables
+    columns = dict(zip(table.names, table.columns))
+    assert {name for name, column in columns.items() if isinstance(column, np.ndarray)} == (
+        set(cli.SWEEP_FIELDS) - {"d_small_bead_est"})
 
 
 def test_huge_eta_with_a_large_drive_solves(capsys):

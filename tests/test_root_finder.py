@@ -100,6 +100,23 @@ def test_energy_calls_per_solve():
     assert max(dw_calls) <= 7
 
 
+def test_polish_passes_per_batch_solve(monkeypatch):
+    # the start at k = 0 needs no Newton steps, as in _estimate; at the CLI
+    # defaults every row brackets at its start, so the one pass left is the
+    # rtsafe start's (two ran when the k = 0 start was polished too)
+    calls = []
+
+    def polish(*args, _f=treadmill._polish):
+        calls.append(args[-1].size)
+        return _f(*args)
+
+    monkeypatch.setattr(treadmill, "_polish", polish)
+    p = ModelParams(energy=NeoHookean(1.0), b0=1.0, b1=1.0, muR0=0.0, muR1=3.0,
+                    mu_inf=2.5, rhoR=1.0, M=1.0, r0=1.0)
+    solve_eta(p, np.geomspace(1e-6, 1e6, 2500))
+    assert calls == [2500]
+
+
 def test_energy_calls_per_validate():
     # w, dw and d2w once at each of the 100 points of the CLI's grid, w at
     # two pairs of finite-difference neighbours of each, and d2w(1), w(1) and
