@@ -123,9 +123,9 @@ def main(argv=None) -> int:
         if args.rev or args.parent:
             raise SystemExit("bench_record: --rev and --parent need a git checkout")
         commit, dirty = None, None
-    doc = {"argv": sys.argv[1:] if argv is None else argv, "commit": commit, "dirty": dirty,
-           "parent": None, "seconds": args.seconds, "smoke": args.smoke, "seeds": seeds,
-           "repeats": args.repeats, "machine": None, "workloads": {}}
+    doc = {"commit": commit, "dirty": dirty, "parent": None, "seconds": args.seconds,
+           "smoke": args.smoke, "seeds": seeds, "repeats": args.repeats, "machine": None,
+           "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
         roots = {"change": _extract(args.rev, tmp) if args.rev else ROOT}
         if args.parent:
