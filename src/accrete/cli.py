@@ -193,7 +193,7 @@ class _Table(NamedTuple):
 
 def _parse_config_file(path: str) -> dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
@@ -357,31 +357,31 @@ def _write(cfg: RunConfig, doc: dict, table: _Table) -> None:
             raise ConfigError(f"cannot write output file {cfg.out!r}: {exc}") from exc
 
 
-def _params_doc(cfg: RunConfig) -> dict:
-    """The config keys and their values, nested by section."""
-    doc: dict = {}
+def _doc(cfg: RunConfig, **rest) -> dict:
+    """The JSON document: the config keys and their values, nested by
+    section, then the scales, then rest."""
+    params: dict = {}
     for key, (field, _) in _KEYS.items():
         section, name = key.split(".")
-        doc.setdefault(section, {})[name] = getattr(cfg, field)
-    return doc
+        params.setdefault(section, {})[name] = getattr(cfg, field)
+    return {"params": params, "scales": dataclasses.asdict(cfg.scales), **rest}
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     """Solve one treadmilling state and emit it with the derived scales."""
-    state = treadmill.solve(cfg.params)
-    doc = {
-        "params": _params_doc(cfg),
-        "scales": dataclasses.asdict(cfg.scales),
-        "state": dataclasses.asdict(state),
-    }
+    doc = _doc(cfg, state=dataclasses.asdict(treadmill.solve(cfg.params)))
     names = [*doc["scales"], *doc["state"]]
     values = [*doc["scales"].values(), *doc["state"].values()]
     _write(cfg, doc, _Table(("name", "value"), [names, values]))
     return EXIT_OK
 
 
-def _sweep_rows(cfg: RunConfig) -> list:
-    """The sweep columns, in SWEEP_FIELDS order."""
+def cmd_sweep(cfg: RunConfig) -> int:
+    """Sweep eta and emit one row per point, in SWEEP_FIELDS order.
+
+    All rows are computed before anything is written, so an unsolvable
+    configuration fails before producing output.
+    """
     if not (math.isfinite(cfg.eta_min) and math.isfinite(cfg.eta_max)):
         raise ConfigError("eta range must be finite")
     if not (cfg.eta_min > 0.0 and cfg.eta_max > cfg.eta_min):
@@ -412,39 +412,30 @@ def _sweep_rows(cfg: RunConfig) -> list:
     else:
         columns = [[*col] for col in zip(*map(cells, treadmill._solve_rows(cfg.params, etas)))]
         d_diffusion_limited = [] if c is None else [c / eta for eta in etas]
-    return [etas, *columns, [nu_star - 1.0] * len(etas), d_diffusion_limited]
-
-
-def cmd_sweep(cfg: RunConfig) -> int:
-    """Sweep eta and emit one row per point.
-
-    All rows are computed before anything is written, so an unsolvable
-    configuration fails before producing output.
-    """
-    table = _Table(SWEEP_FIELDS, _sweep_rows(cfg))
-    doc = {"params": _params_doc(cfg), "scales": dataclasses.asdict(cfg.scales), "rows": table}
-    _write(cfg, doc, table)
+    table = _Table(SWEEP_FIELDS, [etas, *columns, [nu_star - 1.0] * len(etas), d_diffusion_limited])
+    _write(cfg, _doc(cfg, rows=table), table)
     return EXIT_OK
 
 
-def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list]:
-    """Solved state (None with --r1) and the profile columns, in PROFILE_FIELDS order."""
+def cmd_profiles(cfg: RunConfig) -> int:
+    """Emit radial profiles, solved from config or, with --r1, for an
+    explicit geometry, in PROFILE_FIELDS order."""
     from . import diffusion, mechanics
     if cfg.grid_n < 2:
         raise ConfigError("need at least 2 profile points")
     if cfg.r1 is not None and not math.isfinite(cfg.r1):
         raise ConfigError("--r1 must be finite")
-    energy = cfg.params.energy
-    gscale = strain_energy.modulus_scale(energy)
+    p = cfg.params
+    gscale = strain_energy.modulus_scale(p.energy)
     state = None
     if cfg.r1 is None:
-        state = treadmill.solve(cfg.params)
+        state = treadmill.solve(p)
         if not math.isfinite(state.r1):  # r1 = nu r0 overflows for a bead near the float range
             raise NumericFailure(f"non-finite value in the output: r1 = {state.r1!r}")
-    geom = mechanics.ShellGeometry(cfg.r0, cfg.r1 if state is None else state.r1)
+    geom = mechanics.ShellGeometry(p.r0, cfg.r1 if state is None else state.r1)
     try:  # a solved state whose h or mu overflows is no bad input
         profiles = None if state is None else diffusion.SteadyProfiles(
-            state.V0, state.mu0, geom, cfg.M_inner, cfg.rhoR, cfg.mu_inf)
+            state.V0, state.mu0, geom, p.M, p.rhoR, p.mu_inf)
     except ValueError as exc:
         raise NumericFailure(str(exc)) from None
 
@@ -457,37 +448,25 @@ def _profile_rows(cfg: RunConfig) -> tuple[treadmill.TreadmillState | None, list
     if cfg.grid_n > _ARRAY_ROWS:
         import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):
-            cols = cells(mechanics.stress_profile(geom, energy, cfg.grid_n))
+            cols = cells(mechanics.stress_profile(geom, p.energy, cfg.grid_n))
         append = np.append
     else:  # the same cells, one radius at a time
         radii = strain_energy._linspace(geom.r0, geom.r1, cfg.grid_n)
-        cols = [[*x] for x in zip(*(cells(mechanics.fields_at(r, geom, energy)) for r in radii))]
+        cols = [[*x] for x in zip(*(cells(mechanics.fields_at(r, geom, p.energy)) for r in radii))]
         append = list.__add__
+    # Mechanics-only profiles have no chemistry attached, so side, h and mu
+    # are empty.  A solved profile's flux jumps at the outer surface: the
+    # samples at r1 take the inside limit, and one more row at r1 the
+    # outside limit, where the mechanical columns end.
+    r, side, h, mu = cols[0], [], [], []
+    if state is not None:
+        side = ["below" if at else None for at in cols[5]] + ["above"]
+        h = append(cols[6], [profiles.h(state.r1, side="above")])
+        mu = append(cols[7], [profiles.mu(state.r1)])
+        r = append(r, [state.r1])
     # v/V0 = (r0/r)**2 = lam_r, defined also where the solved V0 rounds to 0
-    if state is None:
-        # Mechanics-only mode: geometry given directly, no chemistry attached,
-        # so side, h and mu are empty.
-        return None, [cols[0], [], *cols[1:5], cols[3], [], []]
-    # The flux jumps at the outer surface: the samples at r1 take the inside
-    # limit, and one more row at r1 the outside limit, where the mechanical
-    # columns end.
-    at_r1, h, mu = cols[-3:]
-    side = ["below" if at else None for at in at_r1] + ["above"]
-    h = append(h, [profiles.h(state.r1, side="above")])
-    mu = append(mu, [profiles.mu(state.r1)])
-    return state, [append(cols[0], [state.r1]), side, *cols[1:5], cols[3], h, mu]
-
-
-def cmd_profiles(cfg: RunConfig) -> int:
-    """Emit radial profiles, solved from config or for an explicit geometry."""
-    state, columns = _profile_rows(cfg)
-    table = _Table(PROFILE_FIELDS, columns)
-    doc = {
-        "params": _params_doc(cfg),
-        "scales": dataclasses.asdict(cfg.scales),
-        "state": None if state is None else dataclasses.asdict(state),
-        "rows": table,
-    }
+    table = _Table(PROFILE_FIELDS, [r, side, *cols[1:5], cols[3], h, mu])
+    doc = _doc(cfg, state=None if state is None else dataclasses.asdict(state), rows=table)
     _write(cfg, doc, table)
     return EXIT_OK
 

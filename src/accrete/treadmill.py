@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 _LAM_CAP = 1e9
+# Raised by _find_root and _find_roots when F keeps its sign up to _LAM_CAP.
+_CAPPED = (f"no sign change below lam = {_LAM_CAP:g}: the shell is thicker than that, "
+           "or the energy does not grow without bound")
 # Smallest float above 1; the bracketing probes never go below it.
 _ONE_UP = 1.0 + 2.0**-52
 # A Newton step of at most _NOISE * lam that fails the safeguard is taken
@@ -319,9 +322,7 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
     while True:
         lam = max(1.0 + u, _ONE_UP)
         if not lam <= _LAM_CAP:
-            raise NumericFailure(
-                f"no sign change below lam = {_LAM_CAP:g}; energy growth assumption violated?"
-            )
+            raise NumericFailure(_CAPPED)
         u = lam - 1.0
         wu = w(lam)
         q = 1.0 + a1 * u
@@ -404,9 +405,7 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
     while True:
         lam = np.where(_ONE_UP > 1.0 + u, _ONE_UP, 1.0 + u)
         if not np.all(lam <= _LAM_CAP):
-            raise NumericFailure(
-                f"no sign change below lam = {_LAM_CAP:g}; energy growth assumption violated?"
-            )
+            raise NumericFailure(_CAPPED)
         u = lam - 1.0  # 1 + u is lam again, since lam < 2**53
         lam, wu, _, fu = F(u)
         probing &= ~(fu <= 0.0)

@@ -188,6 +188,16 @@ def test_malformed_config_file(tmp_path, capsys, line):
     assert "error:" in err
 
 
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    # editors on some systems start a UTF-8 file with EF BB BF
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"chem.mu_inf = 2.8\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = run(capsys, ["solve", "--config", str(plain)])
+    assert expected[0] == 0
+    assert run(capsys, ["solve", "--config", str(marked)]) == expected
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, ["solve", "--config", "/nonexistent/run.cfg"])
     assert code == 2
@@ -920,6 +930,14 @@ def test_validate_stationary_at_identity_survives_huge_modulus(capsys):
     by_name = {r["check"]: r for r in rows}
     assert by_name["stationary-at-identity"]["passed"] == "pass"
     assert by_name["stationary-at-identity"]["detail"] == "dw(1) = 0.000e+00"
+
+
+def test_validate_past_the_stretch_cap_names_both_causes(capsys):
+    # the energy checks pass; the shell is only thicker than lam = 1e9
+    code, out, err = run(capsys, ["validate", "--set", "energy.G=1e-300"])
+    assert (code, out) == (4, "")
+    assert err == ("numeric failure: no sign change below lam = 1e+09: the shell is thicker "
+                   "than that, or the energy does not grow without bound\n")
 
 
 def test_validate_thin_shell_passes(capsys):

@@ -4,7 +4,8 @@ Hypothesis draws G, b0, b1 and the drive mu_inf - muStar; each example
 solves one table of 61 bead radii with solve_eta.  The drive runs from
 1e-6 to 10, so with muR1 = 3 both signs of Vstarstar occur, and eta stops
 at 1e6, where d/r0 still moves by many ulp of nu from one row to the next.
-The small-bead rate test solves three small eta per example.  The
+The small-bead rate test solves three small eta per example, and the
+large-bead limit test two large ones, at a drawn Vstarstar/Vstar.  The
 rescaling test solves single states, with muR0 drawn as well.  The
 transport test draws finite floats that favour the edges of the float range.
 """
@@ -65,6 +66,26 @@ def test_small_bead_thickness_converges_like_eta(G, b0, b1, drive):
     u_star = small_bead_asymptote(p)[0] - 1.0
     error = np.abs((solve_eta(p, np.array([1e-3, 1e-4, 1e-5])).nu - 1.0) / u_star - 1.0)
     assert (error[:-1] / error[1:]).tolist() == [pytest.approx(10.0, rel=0.05)] * 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(G=decades(-1.0, 1.0), b0=decades(-1.0, 1.0), b1=decades(-1.0, 1.0), ratio=st.floats(0.1, 0.9))
+def test_large_bead_thickness_tends_to_the_stiffness_free_limit(G, b0, b1, ratio):
+    """eta u -> Vstar/Vstarstar - 1 with an error like 1/eta, whatever G,
+    b0 and b1, for Vstarstar/Vstar = ratio > 0.
+
+    The error is bounded, not its decade ratio: at G = 9.1, b0 = 6.7,
+    b1 = 0.1 it reads 4.7e-3, 1.5e-5 and 6.4e-6 at eta = 1e4, 1e5 and 1e6.
+    Over 3 000 draws the worst were 9.0e-5 and 9.0e-6, at ratio near 0.1."""
+    p = ModelParams(
+        energy=NeoHookean(G), b0=b0, b1=b1, muR0=0.0, muR1=3.0,
+        mu_inf=3.0 - 3.0 * ratio * b1 / (b0 + b1), rhoR=1.0, M=1.0, r0=1.0,
+    )
+    s = compute_scales(p)
+    eta = np.array([1e5, 1e6])
+    error = np.abs(eta * (solve_eta(p, eta).nu - 1.0) / (s.Vstar / s.Vstarstar - 1.0) - 1.0)
+    assert error[0] <= 2e-4
+    assert error[1] <= 2e-5
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -495,9 +495,11 @@ class Plateau(ReducedEnergy):
 
 def test_bounded_energy_raises_numeric_failure():
     p = make_params(energy=Plateau(1.0), muR1=6.0, mu_inf=6.0)
-    with pytest.raises(NumericFailure):
+    message = ("^no sign change below lam = 1e\\+09: the shell is thicker than that, "
+               "or the energy does not grow without bound$")
+    with pytest.raises(NumericFailure, match=message):
         solve(p)
-    with pytest.raises(NumericFailure):
+    with pytest.raises(NumericFailure, match=message):
         solve_eta(p, np.geomspace(1e-3, 1e3, 7))
 
 
