@@ -191,52 +191,41 @@ class _Table(NamedTuple):
     columns: list
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _config_lines(path: str) -> Iterator[tuple[str, str, str]]:
+    """(item, where, syntax error) of each non-blank line of the config
+    file, comment stripped."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
-
-
-def _coerce(key: str, raw: str):
-    if isinstance(_KEYS[key][1], str):
-        return raw
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"value for {key} is not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"value for {key} must be finite: {raw!r}")
-    return value
+        if line := raw.split("#", 1)[0].strip():
+            yield line, f"{path}:{lineno}", f"{path}:{lineno}: expected 'key = value', got {raw!r}"
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the defaults, then the config file, then --set, and
-    the options of the command."""
+    """RunConfig from the defaults, then each config file line and --set in
+    turn, each checked as it is read, and the options of the command."""
     kwargs = {}
-    if args.config is not None:
-        for key, raw in _parse_config_file(args.config).items():
-            kwargs[_KEYS[key][0]] = _coerce(key, raw)
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, raw = (part.strip() for part in item.split("=", 1))
+    lines = () if args.config is None else _config_lines(args.config)
+    sets = ((item, "--set", f"--set expects KEY=VALUE, got {item!r}") for item in args.set or [])
+    for item, where, syntax in chain(lines, sets):
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ConfigError(syntax)
         if key not in _KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        kwargs[_KEYS[key][0]] = _coerce(key, raw)
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        field, default = _KEYS[key]
+        if not isinstance(default, str):
+            try:
+                number = float(value)
+            except ValueError:
+                raise ConfigError(f"value for {key} is not a number: {value!r}") from None
+            if not math.isfinite(number):
+                raise ConfigError(f"value for {key} must be finite: {value!r}")
+            value = number
+        kwargs[field] = value
     kwargs.update((name, getattr(args, name)) for name in _OPTIONS if hasattr(args, name))
     return RunConfig(**kwargs)
 
@@ -484,13 +473,14 @@ def cmd_validate(cfg: RunConfig) -> int:
     )
     if dec.ok:
         # Scan to past the solved root; the oracle counts sign changes on
-        # its own.  A thin shell can solve to nu == 1.0, hence the floor.
-        lam_max = max(2.0, 2.0 * treadmill.solve(cfg.params).nu - 1.0)
-        brackets = treadmill.grid_scan_oracle(cfg.params, lam_max, 10000)
+        # its own, and its one bracket must hold the root, ends included.
+        # A thin shell can solve to nu == 1.0, hence the floor.
+        nu = treadmill.solve(cfg.params).nu
+        brackets = treadmill.grid_scan_oracle(cfg.params, max(2.0, 2.0 * nu - 1.0), 10000)
         checks += (
             strain_energy.CheckResult(
                 "uniqueness-oracle",
-                len(brackets) == 1,
+                len(brackets) == 1 and brackets[0][0] <= nu <= brackets[0][1],
                 f"{len(brackets)} sign-change bracket(s) found",
             ),
         )

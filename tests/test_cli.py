@@ -5,6 +5,7 @@ subprocess smoke test covers the installed module entry point.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -202,6 +203,22 @@ def test_missing_config_file(capsys):
     code, _, err = run(capsys, ["solve", "--config", "/nonexistent/run.cfg"])
     assert code == 2
     assert "cannot read config file" in err
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # every value of a repeated key is checked, not only the last
+        ("energy.G = abc\nenergy.G = 2\n", "value for energy.G is not a number: 'abc'"),
+        ("chem.mu_inf = nan\nchem.mu_inf = 2.5\n", "value for chem.mu_inf must be finite: 'nan'"),
+        # the first bad line is named, whatever is wrong with a later one
+        ("chem.mu_inf = x\ngeom.rr = 1\n", "value for chem.mu_inf is not a number: 'x'"),
+    ],
+)
+def test_config_file_lines_are_checked_in_order(tmp_path, capsys, text, error):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run(capsys, ["solve", "--config", str(cfg)]) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize(
@@ -951,6 +968,15 @@ def test_validate_thin_shell_passes(capsys):
     by_name = {r["check"]: r for r in rows}
     assert by_name["uniqueness-oracle"]["passed"] == "pass"
     assert by_name["uniqueness-oracle"]["detail"].startswith("1 sign-change")
+
+
+def test_validate_fails_when_the_bracket_misses_the_solved_root(capsys, monkeypatch):
+    state = solve(default_params())
+    doubled = dataclasses.replace(state, nu=2.0 * state.nu)
+    monkeypatch.setattr(cli.treadmill, "solve", lambda params: doubled)
+    code, out, _ = run(capsys, ["validate"])
+    assert code == 1
+    assert "uniqueness-oracle,fail,1 sign-change bracket(s) found\n" in out
 
 
 def test_validate_json(capsys):
