@@ -183,14 +183,13 @@ def _scale_values(params: ModelParams) -> tuple[float, float, float, float, floa
         eta = params.r0 / ellStar
     except (OverflowError, ZeroDivisionError):
         raise ValueError("diffusion length ellStar is out of the float range") from None
-    values = (
-        (params.muR1 - params.muR0) * params.rhoR / bsum,
-        (params.muR1 - params.mu_inf) * params.rhoR / params.b1,
-        ellStar,
-        (params.b0 * params.muR1 + params.b1 * params.muR0) / bsum,
-        eta,
-    )
-    if not all(map(math.isfinite, values)):
+    Vstar = (params.muR1 - params.muR0) * params.rhoR / bsum
+    Vstarstar = (params.muR1 - params.mu_inf) * params.rhoR / params.b1
+    muStar = (params.b0 * params.muR1 + params.b1 * params.muR0) / bsum
+    values = Vstar, Vstarstar, ellStar, muStar, eta
+    # x - x is 0 for a finite x, else NaN; half the time of math.isfinite on each
+    if (Vstar - Vstar) + (Vstarstar - Vstarstar) + (ellStar - ellStar) + (muStar - muStar) + (
+            eta - eta) != 0.0:
         name = next(f.name for f, v in zip(fields(Scales), values) if not math.isfinite(v))
         raise ValueError(f"scale {name} is not finite")
     return values
@@ -310,8 +309,8 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
     inside the bracket and is at most half the step before last, and
     bisects otherwise.  It stops when the Newton step rounds to the same
     lam, when a rejected Newton step is within a few ulp of lam (F is then
-    down to its rounding noise), or when the bracket holds no float between
-    its ends, and returns the bracket endpoint with the smaller |F|.
+    down to its rounding noise), when F is 0 at the upper end, or when the
+    bracket holds no float inside, and returns the endpoint with smaller |F|.
     """
     if wscale == 0.0:  # b1 times a speed, underflowed
         raise ValueError("energy scale b1 V of the root is out of the float range")
@@ -331,8 +330,6 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
             break
         lo, f_lo, w_lo = u, fu, wu
         u = 2.0 * _estimate(drive, eta, wu / (wscale * u * u))
-    if fu == 0.0:
-        return lam, wu
     hi, f_hi, w_hi = u, fu, wu
 
     x = (1.0 + _estimate(drive, eta, wu / (wscale * u * u))) - 1.0
@@ -341,16 +338,16 @@ def _find_root(energy: ReducedEnergy, wscale: float, drive: float, eta: float):
     step = step_old = hi - lo
     dw = energy.dw
     for _ in range(_MAX_STEPS):
+        if not f_hi < 0.0:  # F(hi) is 0 (or NaN): hi is returned below
+            break
         lam = 1.0 + x
         wx = w(lam)
         q = 1.0 + a1 * x
         fx = drive - (eta * x / q if q < inf else 1.0) - wx / wscale
         if fx > 0.0:
             lo, f_lo, w_lo = x, fx, wx
-        elif fx < 0.0:
-            hi, f_hi, w_hi = x, fx, wx
         else:
-            return lam, wx
+            hi, f_hi, w_hi = x, fx, wx
         dfx = -eta / (q * q) - dw(lam) / wscale
         newton = fx / dfx if dfx < 0.0 else math.inf
         x_new = (lam - newton) - 1.0
@@ -417,7 +414,7 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
     # A live row takes rtsafe steps from x.  A row that stops keeps x, where
     # F gives it the same lam, wu, fx and bracket at every later step.
     lo, hi, high = low[0], u, np.array((u, fu, wu))
-    live, exact = fu != 0.0, fu == 0.0
+    live = fu < 0.0
     x = (1.0 + _estimates(drive, eta, wu / (wscale * u * u))) - 1.0
     x = np.where(live & (lo < x) & (x < hi), x, np.where(live & (x <= lo), lo, hi))
     step = step_old = hi - lo
@@ -425,8 +422,8 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
         if not live.any():
             break
         lam, wu, q, fx = F(x)
-        pos, neg = fx > 0.0, fx < 0.0
-        low, high = np.where(pos, (x, fx, wu), low), np.where(neg, (x, fx, wu), high)
+        pos = fx > 0.0
+        low, high = np.where(pos, (x, fx, wu), low), np.where(pos, high, (x, fx, wu))
         lo, hi = low[0], high[0]
         dfx = -eta / (q * q) - dw(lam) / wscale
         newton = np.where(dfx < 0.0, fx / dfx, np.inf)
@@ -434,15 +431,14 @@ def _find_roots(energy: ReducedEnergy, wscale: float, drive: float, eta):
         ok = (lo < x_new) & (x_new < hi) & (np.abs(newton + newton) <= np.abs(step_old))
         mid = (1.0 + 0.5 * (lo + hi)) - 1.0
         give_up = (np.abs(newton) <= _NOISE * lam) | ~((lo < mid) & (mid < hi))
-        exact = ~(pos | neg)
-        live &= ~(exact | (x_new == x) | (~ok & give_up))
+        live &= (high[1] < 0.0) & ~((x_new == x) | (~ok & give_up))
         x_new = np.where(ok, x_new, mid)
         step_old, step = step, x - x_new
         x = np.where(live, x_new, x)
     if live.any():
         raise NumericFailure("root iteration failed to converge")
     end = np.where(np.abs(low[1]) < np.abs(high[1]), low, high)
-    return np.where(exact, lam, 1.0 + end[0]), np.where(exact, wu, end[2])
+    return 1.0 + end[0], end[2]
 
 
 def _drive(params: ModelParams, Vstar: float, Vstarstar: float) -> float:
@@ -467,28 +463,44 @@ def _drive(params: ModelParams, Vstar: float, Vstarstar: float) -> float:
 
 def _state(params: ModelParams, Vstar, Vstarstar, nu, w_nu, r0, mu1) -> TreadmillState:
     """Back-substitute the state at nu from w(nu) and r0: floats, or
-    float64 arrays with mu1 filled to their shape."""
+    float64 arrays with mu1 filled to their shape.  Raises NumericFailure
+    when a field leaves the float range, as r1 = nu r0 does for a bead
+    near the top of it."""
     V0 = Vstarstar + w_nu / params.b1
     mu0 = params.mu_inf - (params.b0 + params.b1) * (Vstar - V0) / params.rhoR
-    return TreadmillState(
-        nu, nu * r0, (nu - 1.0) * r0, V0, -V0, mu0, mu1, params.b0 * V0, params.b1 * (-V0)
-    )
+    r1, f0, f1 = nu * r0, params.b0 * V0, params.b1 * (-V0)
+    st = TreadmillState(nu, r1, (nu - 1.0) * r0, V0, -V0, mu0, mu1, f0, f1)
+    # x - x is 0 for a finite x, else NaN; nu, d, V0, V1 are finite if r1, f0 are
+    gap = (r1 - r1) + (mu0 - mu0) + (f0 - f0) + (f1 - f1)
+    if gap == 0.0 if isinstance(gap, float) else (gap == 0.0).all():
+        return st
+    if not isinstance(gap, float):  # the first bad row, where _solve_rows stops
+        i = int((gap != 0.0).argmax())
+        st = TreadmillState(*(float(v[i]) for v in vars(st).values()))
+    name = next(name for name, x in vars(st).items() if not math.isfinite(x))
+    raise NumericFailure(f"non-finite value in the output: {name} = {getattr(st, name)!r}")
 
 
 def solve(params: ModelParams) -> TreadmillState:
     """Solve the treadmilling system.
 
-    Raises NoTreadmillingState when the existence conditions fail and
+    Raises NoTreadmillingState when the existence conditions fail, and
     NumericFailure if bracket expansion passes lam = 1e9 (unreachable for
-    energies that grow without bound).
+    energies that grow without bound) or a field leaves the float range.
 
     The equation is solved in the nondimensional variables
     (u = nu - 1, V/Vstar, w/(b1 Vstar)) so conditioning is uniform across
     many decades of eta; outputs are dimensional.
     """
+    Vstar, Vstarstar, nu, w_nu = _root(params)
+    return _state(params, Vstar, Vstarstar, nu, float(w_nu), params.r0, params.mu_inf)
+
+
+def _root(params: ModelParams) -> tuple[float, float, float, float]:
+    """(Vstar, Vstarstar, nu, w(nu)) of solve(params), without its state."""
     Vstar, Vstarstar, _, _, eta = _solvable_scales(params)
     nu, w_nu = _find_root(params.energy, params.b1 * Vstar, _drive(params, Vstar, Vstarstar), eta)
-    return _state(params, Vstar, Vstarstar, nu, float(w_nu), params.r0, params.mu_inf)
+    return Vstar, Vstarstar, nu, w_nu
 
 
 def solve_eta(params: ModelParams, eta) -> TreadmillState:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,9 +27,13 @@ def test_smoke_record_has_the_schema(tmp_path):
     assert path.name.startswith("BENCH_") and path.suffix == ".json"
     doc = json.loads(path.read_text())
     assert set(doc) == {"commit", "dirty", "parent", "seconds", "smoke", "seeds", "repeats",
-                        "machine", "workloads"}
+                        "environment", "machine", "workloads"}
     assert (doc["parent"], doc["seconds"], doc["smoke"], doc["seeds"], doc["repeats"]) == (
         None, 0.3, True, [3], 1)
+    assert doc["environment"] == {
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+    # run.py ran in a copy of the working tree, which has no .git
+    assert doc["machine"]["commit"] == "unknown (not a git work tree)"
     assert {"cpu", "nproc", "python", "numpy", "commit"} <= set(doc["machine"])
     (workload,) = doc["workloads"].values()
     (run,) = workload["runs"]
@@ -61,3 +66,25 @@ def test_pairs_are_won_by_each_metric_direction():
     assert doc["items_per_s"]["parent"] == {"median": 100.0, "q1": 100.0, "q3": 110.0}
     assert (doc["op.p50_ms"]["pairs"], doc["op.p50_ms"]["change_won"]) == (3, 2)  # a tie is no win
     assert set(doc["sweep.rows_per_s"]) == {"change", "parent"}  # no declared direction
+
+
+def test_the_working_tree_is_copied_without_build_output(tmp_path):
+    root, into = tmp_path / "checkout", tmp_path / "copies"
+    into.mkdir()
+    files = {"kept.py": "tracked", "gone.py": "tracked, then deleted", "new.py": "untracked",
+             "pkg/mod.py": "tracked", "pkg/__pycache__/mod.cpython-311.pyc": "build output",
+             "run.log": "ignored", ".gitignore": "__pycache__/\n*.log\n"}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    git = ["git", "-c", "init.defaultBranch=main"]
+    subprocess.run([*git, "init", "-q", str(root)], check=True)
+    subprocess.run([*git, "add", "kept.py", "gone.py", "pkg/mod.py", ".gitignore"], cwd=root,
+                   check=True)
+    (root / "kept.py").write_text("tracked, edited")
+    (root / "gone.py").unlink()
+    copy = Path(bench_record._copy_worktree(str(root), str(into)))
+    assert copy.parent == into
+    got = {str(p.relative_to(copy)): p.read_text() for p in copy.rglob("*") if p.is_file()}
+    assert got == {"kept.py": "tracked, edited", "new.py": "untracked", "pkg/mod.py": "tracked",
+                   ".gitignore": "__pycache__/\n*.log\n"}

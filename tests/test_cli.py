@@ -393,7 +393,7 @@ def test_numeric_failure_exit_code(capsys, monkeypatch, command):
     def boom(params):
         raise NumericFailure("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli.treadmill, "solve", boom)
+    monkeypatch.setattr(cli.treadmill, "_root", boom)  # solve's root, and validate's
     code, _, err = run(capsys, [command])
     assert code == 4
     assert "numeric failure" in err
@@ -727,6 +727,20 @@ def test_float_and_array_paths_write_the_same_bytes(capsys, monkeypatch, argv, s
 
 
 # Runs at the edges of the float range and of the input checks; most fail.
+# The --set form of test_treadmill.NONFINITE_STATES: each has a root, but
+# r1 = nu r0, or mu0 and f0, of its state leave the float range.
+NONFINITE_STATE_ARGV = {
+    "r1-overflows": [
+        "--set", "energy.G=3.0", "--set", "kinetics.b0=1e12", "--set", "kinetics.b1=1e-12",
+        "--set", "chem.muR0=-2.9999999999999996", "--set", "chem.muR1=-0.5",
+        "--set", "chem.mu_inf=1e-12", "--set", "chem.rhoR=1e-12", "--set", "transport.M_inner=2.5",
+        "--set", "geom.r0=1.7976931348623157e308"],
+    "mu0-overflows": [
+        "--set", "energy.G=2.5", "--set", "kinetics.b0=1e200", "--set", "kinetics.b1=1e-300",
+        "--set", "chem.muR0=-1e200", "--set", "chem.muR1=-1e-12", "--set", "chem.mu_inf=0.0",
+        "--set", "chem.rhoR=1e-6", "--set", "transport.M_inner=5e-324", "--set", "geom.r0=7.0"],
+}
+
 EDGE_ARGV = [
     ["sweep", "--eta-min", "1e-300", "--eta-max", "1e300"],
     ["sweep", "--set", "energy.G=1e308"],
@@ -747,6 +761,15 @@ EDGE_ARGV = [
     ["profiles", "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=30"],  # r1 overflows
     # V0 rounds to 0.0; v_over_V0 is (r0/r)**2, so the run succeeds
     ["profiles", "--set", "chem.mu_inf=54.43065135504882", "--set", "geom.r0=5.2257083107433845e+23"],
+    # r1 = nu r0 of the last rows leaves the float range; r1 is no sweep
+    # column, but the state of the row is refused, so the sweep exits 4
+    ["sweep", "--set", "chem.mu_inf=30", "--eta-max", "5e307"],
+    # The mobility makes ellStar 1.0: mu0 = -inf on every row and r1 = inf
+    # on the last, and both paths name mu0, the first field of the first row
+    ["sweep", *NONFINITE_STATE_ARGV["mu0-overflows"], "--set", "transport.M_inner=1e-212",
+     "--eta-max", "1.7976931348623157e308"],
+    # validate reads only the root, so these pass as they always did
+    *(["validate", *argv] for argv in NONFINITE_STATE_ARGV.values()),
 ]
 
 
@@ -810,11 +833,34 @@ def test_huge_eta_with_a_large_drive_solves(capsys):
     assert doc["scales"]["eta"] == 5e307
     nu2 = 1.0 + large_bead_asymptote(default_params(mu_inf=30.0), 1.0)[0]
     assert doc["state"]["nu"] == pytest.approx(nu2, rel=1e-14)
-    # At r0 = 1.7e308 the same state solves too; only r1 = nu r0 overflows.
-    st = solve(default_params(r0=1.7e308, mu_inf=30.0))
-    assert st.nu == pytest.approx(nu2, rel=1e-14) and st.r1 == math.inf
+    # At r0 = 1.7e308 the same root solves too; only r1 = nu r0 overflows,
+    # and solve raises for it.
+    huge = default_params(r0=1.7e308, mu_inf=30.0)
+    assert cli.treadmill._root(huge)[2] == pytest.approx(nu2, rel=1e-14)
+    with pytest.raises(NumericFailure, match="^non-finite value in the output: r1 = inf$"):
+        solve(huge)
     code, out, err = run(capsys, ["solve", "--set", "geom.r0=1.7e308", "--set", "chem.mu_inf=30"])
-    assert (code, out, err) == (4, "", "numeric failure: non-finite value in the output\n")
+    assert (code, out, err) == (4, "", "numeric failure: non-finite value in the output: r1 = inf\n")
+
+
+@pytest.mark.parametrize("name", NONFINITE_STATE_ARGV)
+def test_validate_passes_where_the_state_leaves_the_float_range(capsys, name):
+    """validate builds no state, so it passes every check on an input whose
+    state solve refuses; the corpus pins its bytes."""
+    from test_treadmill import NONFINITE_STATES
+
+    argv = NONFINITE_STATE_ARGV[name]
+    cfg = cli._config_from_args(cli._build_parser().parse_args(["validate", *argv]))
+    want = NONFINITE_STATES[name]
+    assert (cfg.params.energy.G, *dataclasses.astuple(cfg.params)[1:]) == (
+        want.energy.G, *dataclasses.astuple(want)[1:])
+    code, out, err = run(capsys, ["validate", *argv])
+    assert (code, err) == (0, "")
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["pass"] * 9
+    field = name.split("-")[0]
+    code, out, err = run(capsys, ["solve", *argv])
+    assert (code, out) == (4, "")
+    assert err.startswith(f"numeric failure: non-finite value in the output: {field} = ")
 
 
 # ---------------------------------------------------------------------------
@@ -971,9 +1017,8 @@ def test_validate_thin_shell_passes(capsys):
 
 
 def test_validate_fails_when_the_bracket_misses_the_solved_root(capsys, monkeypatch):
-    state = solve(default_params())
-    doubled = dataclasses.replace(state, nu=2.0 * state.nu)
-    monkeypatch.setattr(cli.treadmill, "solve", lambda params: doubled)
+    Vstar, Vstarstar, nu, w_nu = cli.treadmill._root(default_params())
+    monkeypatch.setattr(cli.treadmill, "_root", lambda params: (Vstar, Vstarstar, 2.0 * nu, w_nu))
     code, out, _ = run(capsys, ["validate"])
     assert code == 1
     assert "uniqueness-oracle,fail,1 sign-change bracket(s) found\n" in out

@@ -10,21 +10,24 @@ rescaling test solves single states, with muR0 drawn as well.  The
 transport test draws finite floats that favour the edges of the float range.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from accrete.diffusion import SteadyProfiles  # noqa: E402
 from accrete.mechanics import ShellGeometry  # noqa: E402
 from accrete.strain_energy import NeoHookean  # noqa: E402
 from accrete.treadmill import (  # noqa: E402
-    ModelParams, compute_scales, small_bead_asymptote, solve, solve_eta,
+    ModelParams, NoTreadmillingState, NumericFailure, compute_scales, small_bead_asymptote,
+    solve, solve_eta,
 )
+from test_treadmill import NONFINITE_STATES  # noqa: E402
 
 ETAS = np.geomspace(1e-6, 1e6, 61)
 EPS = 2.0**-52
@@ -167,3 +170,47 @@ def test_profiles_are_finite_or_rejected(V0, mu0, r0, r1, M_inner, rhoR, mu_inf,
         for side in ("below", "above"):
             assert np.isfinite(p.h(np.array(radii), side=side)).all()
         assert np.isfinite(p.mu(np.array(radii))).all()
+
+
+def decades_or(lo, hi, *edges):
+    """10**x for x in [-2, 2] or in [lo, hi], or one of the edges."""
+    return st.one_of(decades(-2.0, 2.0), decades(lo, hi), st.sampled_from(edges))
+
+
+@st.composite
+def float_range_corner(draw):
+    """Solvable chemistries, most of them, with the bead radius, b1 and the
+    mobility drawn often near the ends of the float range, and the others
+    over many decades."""
+    b0, b1 = draw(decades_or(-300.0, 300.0, 1e200)), draw(decades_or(-300.0, -200.0, 1e-300))
+    muR0 = draw(st.sampled_from([1.0, -1.0])) * draw(st.one_of(st.just(0.0), decades(-12.0, 200.0)))
+    muR1 = muR0 + draw(decades_or(-12.0, 200.0, 1e-12))
+    muStar = (b0 * muR1 + b1 * muR0) / (b0 + b1)
+    return ModelParams(
+        energy=NeoHookean(draw(decades_or(-12.0, 12.0, 1e308))), b0=b0, b1=b1, muR0=muR0,
+        muR1=muR1, mu_inf=muStar + draw(decades_or(-12.0, 2.0, 1e-12)) * (muR1 - muR0),
+        rhoR=draw(decades_or(-150.0, 150.0, 1e-12, 1e-6)), M=draw(decades_or(-323.0, -250.0, 5e-324)),
+        r0=draw(decades_or(-3.0, 308.25, 1e308, 1.7e308, BIG)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(params=float_range_corner())
+@example(params=NONFINITE_STATES["r1-overflows"])
+@example(params=NONFINITE_STATES["mu0-overflows"])
+def test_solved_state_is_finite_or_raised(params):
+    """solve and solve_eta, on one row and on a short table, either return
+    a state whose every field is finite or raise NumericFailure,
+    ValueError or NoTreadmillingState."""
+    try:
+        eta = compute_scales(params).eta
+    except ValueError:
+        eta = 1.0  # the solves raise the same ValueError
+    solves = (lambda: solve(params), lambda: solve_eta(params, np.array([eta])),
+              lambda: solve_eta(params, np.array([0.5 * eta, eta, 2.0 * eta])))
+    for solve_one in solves:
+        try:
+            state = solve_one()
+        except (NumericFailure, ValueError, NoTreadmillingState):
+            continue
+        assert np.all(np.isfinite(dataclasses.astuple(state))), state

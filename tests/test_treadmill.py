@@ -396,10 +396,14 @@ def test_solve_eta_where_one_plus_eta_times_the_drive_overflows():
     range near eta = 1e307, and so does (1 + eta) u once u > 2.  The model
     equation is then divided through by 1 + eta, and F takes its eta term as
     the 1.0 it rounds to.  The state is the large-bead limit nu2, and
-    solve_eta still matches solve bit for bit."""
+    solve_eta still matches solve bit for bit.  From eta = 5e307 on,
+    r1 = nu r0 passes the float range too, and both raise."""
     p = make_params(mu_inf=30.0)
-    ell = compute_scales(p).ellStar
-    etas = np.array([0.5, 1e300, 1e307, 5e307, 8.5e307])
+    s = compute_scales(p)
+    ell = s.ellStar
+    etas = np.array([0.5, 1e300, 1e307, 1.5e307])
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf((1.0 + etas[2:]) * treadmill._drive(p, s.Vstar, s.Vstarstar)))
     table = solve_eta(p, etas)
     names = [f.name for f in dataclasses.fields(table)]
     got = np.column_stack([getattr(table, name) for name in names])
@@ -407,8 +411,15 @@ def test_solve_eta_where_one_plus_eta_times_the_drive_overflows():
         [dataclasses.astuple(solve(dataclasses.replace(p, r0=eta * ell))) for eta in etas.tolist()]
     )
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all(np.isfinite(got))
     nu2 = 1.0 + large_bead_asymptote(p, 1.0)[0]
-    assert table.nu[1:].tolist() == pytest.approx([nu2] * 4, rel=1e-14)
+    assert table.nu[1:].tolist() == pytest.approx([nu2] * 3, rel=1e-14)
+    overflow = "^non-finite value in the output: r1 = inf$"
+    for eta in (5e307, 8.5e307):
+        with pytest.raises(NumericFailure, match=overflow):
+            solve(dataclasses.replace(p, r0=eta * ell))
+        with pytest.raises(NumericFailure, match=overflow):
+            solve_eta(p, np.append(etas, eta))
 
 
 def test_solve_eta_rejects_rows_out_of_float_range():
@@ -512,9 +523,8 @@ def test_root_iteration_limit_is_numeric_failure(monkeypatch):
         solve_eta(make_params(), np.geomspace(1e-3, 1e3, 7))
 
 
-# Solvable inputs whose solved state has an infinite field; the CLI exits 4
-# on both, with "non-finite value in the output".  The library should raise
-# or return finite fields.
+# Solvable inputs whose state has a field out of the float range: solve and
+# solve_eta raise NumericFailure, and the CLI exits 4, on both.
 NONFINITE_STATES = {
     "r1-overflows": ModelParams(NeoHookean(3.0), 1e12, 1e-12, -2.9999999999999996, -0.5,
                                 1e-12, 1e-12, 2.5, 1.7976931348623157e308),
@@ -523,7 +533,6 @@ NONFINITE_STATES = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason="solve returns r1 = inf or mu0 = f0 = -inf here")
 @pytest.mark.parametrize("params", NONFINITE_STATES.values(), ids=NONFINITE_STATES)
 @pytest.mark.parametrize("batch", [False, True], ids=["solve", "solve_eta"])
 def test_solved_state_is_finite_or_raises(params, batch):
@@ -535,6 +544,22 @@ def test_solved_state_is_finite_or_raises(params, batch):
     except (NumericFailure, ValueError):
         return
     assert np.all(np.isfinite(dataclasses.astuple(state)))
+
+
+@pytest.mark.parametrize("params", NONFINITE_STATES.values(), ids=NONFINITE_STATES)
+def test_out_of_range_state_names_its_first_field(params):
+    field = "r1 = inf" if params.r0 > 1e300 else "mu0 = -inf"
+    with pytest.raises(NumericFailure, match=f"^non-finite value in the output: {field}$"):
+        solve(params)
+    with pytest.raises(NumericFailure, match=f"^non-finite value in the output: {field}$"):
+        solve_eta(params, np.array([1.0, compute_scales(params).eta]))
+
+
+@pytest.mark.parametrize("params", NONFINITE_STATES.values(), ids=NONFINITE_STATES)
+def test_root_solves_where_the_state_leaves_the_float_range(params):
+    """validate reads treadmill._root, which builds no state, so it finds
+    the root of an input whose state solve refuses."""
+    assert 1.0 < treadmill._root(params)[2] < 10.0
 
 
 # ---------------------------------------------------------------------------

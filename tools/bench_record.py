@@ -15,8 +15,12 @@ The measured side is this checkout's files as they are, or with --rev the
 committed files of REV.  With --parent REV the committed files of REV are
 measured too, in pairs with the same workload and seed, and the side that
 runs first alternates from pair to pair, so that a drift of the host's speed
-does not favour one side.  A revision is measured in a fresh directory made
-by `git archive`, as a clean checkout of it would be.
+does not favour one side.  Both sides start from fresh files: a revision in
+a directory made by `git archive`, as a clean checkout of it would be, and
+this checkout as a copy of its tracked and untracked-unignored files, so
+that no __pycache__ or other build output comes along.  A cached bytecode
+file makes a cold import faster when PYTHONDONTWRITEBYTECODE is set, so the
+file records that variable too.
 
 The file holds the machine block of the first measured-side report and, per
 workload and metric, each side's median and quartiles over its runs.  For each
@@ -31,6 +35,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,6 +57,26 @@ def _extract(rev: str, into: str) -> str:
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(path)
+    return path
+
+
+def _copy_worktree(root: str, into: str) -> str:
+    """The tracked and untracked-unignored files of the checkout at root, as
+    they are, in a new directory under into; outside a git checkout, every
+    file but .git and __pycache__."""
+    path = tempfile.mkdtemp(prefix="worktree-", dir=into)
+    try:
+        listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                                 "--exclude-standard"], cwd=root, capture_output=True,
+                                check=True).stdout.decode()
+    except (OSError, subprocess.CalledProcessError):
+        ignore = shutil.ignore_patterns(".git", "__pycache__")
+        shutil.copytree(root, path, ignore=ignore, dirs_exist_ok=True)
+        return path
+    for name in filter(None, listed.split("\0")):
+        if os.path.isfile(os.path.join(root, name)):  # not a tracked file deleted from the tree
+            os.makedirs(os.path.dirname(os.path.join(path, name)), exist_ok=True)
+            shutil.copy2(os.path.join(root, name), os.path.join(path, name))
     return path
 
 
@@ -118,16 +143,17 @@ def main(argv=None) -> int:
 
     try:
         commit = _git("rev-parse", args.rev or "HEAD")
-        dirty = None if args.rev else bool(_git("status", "--porcelain", "--untracked-files=no"))
+        dirty = None if args.rev else bool(_git("status", "--porcelain"))
     except (OSError, subprocess.CalledProcessError):
         if args.rev or args.parent:
             raise SystemExit("bench_record: --rev and --parent need a git checkout")
         commit, dirty = None, None
     doc = {"commit": commit, "dirty": dirty, "parent": None, "seconds": args.seconds,
-           "smoke": args.smoke, "seeds": seeds, "repeats": args.repeats, "machine": None,
-           "workloads": {}}
+           "smoke": args.smoke, "seeds": seeds, "repeats": args.repeats,
+           "environment": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
+           "machine": None, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
-        roots = {"change": _extract(args.rev, tmp) if args.rev else ROOT}
+        roots = {"change": _extract(args.rev, tmp) if args.rev else _copy_worktree(ROOT, tmp)}
         if args.parent:
             doc["parent"] = _git("rev-parse", args.parent)
             roots["parent"] = _extract(args.parent, tmp)
