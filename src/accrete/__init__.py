@@ -4,7 +4,10 @@ and the nonlinear solver for the treadmilling state with its asymptotic
 estimators.
 
 ``import accrete`` loads none of its modules.  Each exported name, and each
-module by its name (``accrete.treadmill``), is imported on first use."""
+module by its name (``accrete.treadmill``), is imported on first use.  The
+records (ModelParams, Scales, TreadmillState) and compute_scales, solve and
+solve_eta come from accrete.records, the one module that imports
+dataclasses; accrete.treadmill also resolves those six names from it."""
 
 __version__ = "0.1.0"
 
@@ -13,11 +16,11 @@ _EXPORTS = {name: module for module, names in [
     ("strain_energy", "NeoHookean ReducedEnergy ValidationReport validate"),
     ("mechanics", "FieldSample ShellGeometry radius_of_particle fields_at stress_profile"),
     ("diffusion", "SteadyProfiles interface_residuals"),
-    ("treadmill", "ModelParams Scales TreadmillState Solvability NoTreadmillingState NumericFailure"
-                  " compute_scales solvable solve solve_eta grid_scan_oracle small_bead_asymptote"
-                  " small_bead_quadratic large_bead_asymptote"),
+    ("records", "ModelParams Scales TreadmillState compute_scales solve solve_eta"),
+    ("treadmill", "Solvability NoTreadmillingState NumericFailure solvable grid_scan_oracle"
+                  " small_bead_asymptote small_bead_quadratic large_bead_asymptote"),
 ] for name in names.split()}
-_MODULES = ("cli", "diffusion", "mechanics", "strain_energy", "treadmill")
+_MODULES = ("cli", "diffusion", "mechanics", "records", "strain_energy", "treadmill")
 
 __all__ = list(_EXPORTS)
 

@@ -17,7 +17,10 @@ output that cannot be written, 3 no treadmilling state, 4 numeric failure.
 
 Each command loads only the modules it runs.  ``import accrete`` loads none
 of accrete's modules until a name is used; ``import accrete.cli`` loads
-strain_energy and treadmill, which every command needs.  Only ``profiles``
+strain_energy and treadmill, which every command needs.  No command loads
+accrete.records or dataclasses: the commands take the solver's fields as
+tuples (treadmill._solve, _solve_eta, _solve_rows, _scale_values) and
+write them by the names treadmill._SCALES and _STATE.  Only ``profiles``
 also loads mechanics and diffusion, only JSON output loads json, and only
 a sweep or profile of more than _ARRAY_ROWS (256) rows loads numpy; every
 other run computes on floats, with the same bits.  Such a sweep hands the
@@ -29,7 +32,6 @@ call.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -145,6 +147,10 @@ _COMMANDS = {
 _OPTIONS = {"out": None, "fmt": "csv", **{
     name: spec["default"] for _, options in _COMMANDS.values() for name, spec in options.items()}}
 _DEFAULTS = {**dict(_KEYS.values()), **_OPTIONS}
+# RunConfig's params and scales: the fields of treadmill.ModelParams and of
+# treadmill.Scales, in named tuples, so that no command builds a dataclass.
+_Params = namedtuple("_Params", "energy b0 b1 muR0 muR1 mu_inf rhoR M r0")
+_Scales = namedtuple("_Scales", treadmill._SCALES)
 
 
 class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values())):
@@ -152,10 +158,11 @@ class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values()))
 
     A named tuple of the fields of _KEYS and then of _OPTIONS, with their
     defaults.  Building one, by the constructor, _make or _replace, builds
-    the energy, the ModelParams and the Scales, so every command rejects a
+    the energy, the parameters and the scales, so every command rejects a
     bad value in the same way.  The last two are its attributes params and
-    scales, held in the instance dict (a tuple subclass cannot slot them)
-    and read-only like the fields.
+    scales: named tuples with the fields of ModelParams and Scales, checked
+    as those are, held in the instance dict (a tuple subclass cannot slot
+    them) and read-only like the fields.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -167,9 +174,10 @@ class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values()))
             raise ConfigError(
                 f"unknown energy.kind {self.energy_kind!r}; known kinds: {known}"
             ) from None
-        params = treadmill.ModelParams(make_energy(self.G), self.b0, self.b1, self.muR0,
-                                       self.muR1, self.mu_inf, self.rhoR, self.M_inner, self.r0)
-        vars(self).update(params=params, scales=treadmill.compute_scales(params))
+        params = _Params(make_energy(self.G), self.b0, self.b1, self.muR0, self.muR1,
+                         self.mu_inf, self.rhoR, self.M_inner, self.r0)
+        treadmill._check_params(params)
+        vars(self).update(params=params, scales=_Scales(*treadmill._scale_values(params)))
         return self
 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
@@ -351,12 +359,12 @@ def _doc(cfg: RunConfig, **rest) -> dict:
     for key, (field, _) in _KEYS.items():
         section, name = key.split(".")
         params.setdefault(section, {})[name] = getattr(cfg, field)
-    return {"params": params, "scales": dataclasses.asdict(cfg.scales), **rest}
+    return {"params": params, "scales": cfg.scales._asdict(), **rest}
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     """Solve one treadmilling state and emit it with the derived scales."""
-    doc = _doc(cfg, state=dataclasses.asdict(treadmill.solve(cfg.params)))
+    doc = _doc(cfg, state=dict(zip(treadmill._STATE, treadmill._solve(cfg.params))))
     names = [*doc["scales"], *doc["state"]]
     values = [*doc["scales"].values(), *doc["state"].values()]
     _write(cfg, doc, _Table(("name", "value"), [names, values]))
@@ -381,7 +389,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     etas = space(cfg.eta_min, cfg.eta_max, cfg.points)
 
     def cells(st):  # of one row's state (floats) or of every row's (arrays)
-        return st.nu, st.nu - 1.0, st.V0, st.V0 / scales.Vstar, st.mu0, st.f0, st.f1
+        nu, _, _, V0, _, mu0, _, f0, f1 = st
+        return nu, nu - 1.0, V0, V0 / scales.Vstar, mu0, f0, f1
 
     # Vstar and Vstarstar do not depend on r0, so the diffusion-limited
     # estimate (Vstar/Vstarstar - 1)/eta of large_bead_asymptote needs only
@@ -394,7 +403,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         import numpy as np
         etas = np.array(etas)
         with np.errstate(over="ignore", invalid="ignore"):
-            columns = cells(treadmill.solve_eta(cfg.params, etas))
+            columns = cells(treadmill._solve_eta(cfg.params, etas))
             d_diffusion_limited = [] if c is None else c / etas
     else:
         columns = [[*col] for col in zip(*map(cells, treadmill._solve_rows(cfg.params, etas)))]
@@ -414,20 +423,19 @@ def cmd_profiles(cfg: RunConfig) -> int:
         raise ConfigError("--r1 must be finite")
     p = cfg.params
     gscale = strain_energy.modulus_scale(p.energy)
-    state = None
-    if cfg.r1 is None:
-        state = treadmill.solve(p)
-    geom = mechanics.ShellGeometry(p.r0, cfg.r1 if state is None else state.r1)
+    state = None if cfg.r1 is not None else dict(zip(treadmill._STATE, treadmill._solve(p)))
+    r1 = cfg.r1 if state is None else state["r1"]
+    geom = mechanics.ShellGeometry(p.r0, r1)
     try:  # a solved state whose h or mu overflows is no bad input
         profiles = None if state is None else diffusion.SteadyProfiles(
-            state.V0, state.mu0, geom, p.M, p.rhoR, p.mu_inf)
+            state["V0"], state["mu0"], geom, p.M, p.rhoR, p.mu_inf)
     except ValueError as exc:
         raise NumericFailure(str(exc)) from None
 
     def cells(f):  # at one radius (floats) or at every radius (arrays)
         cols = [f.r, f.sigma_r / gscale, f.sigma_theta / gscale, f.lam_r, f.lam_theta]
         if state is not None:
-            cols += [f.r == state.r1, profiles.h(f.r, side="below"), profiles.mu(f.r)]
+            cols += [f.r == r1, profiles.h(f.r, side="below"), profiles.mu(f.r)]
         return cols
 
     if cfg.grid_n > _ARRAY_ROWS:
@@ -446,13 +454,12 @@ def cmd_profiles(cfg: RunConfig) -> int:
     r, side, h, mu = cols[0], [], [], []
     if state is not None:
         side = ["below" if at else None for at in cols[5]] + ["above"]
-        h = append(cols[6], [profiles.h(state.r1, side="above")])
-        mu = append(cols[7], [profiles.mu(state.r1)])
-        r = append(r, [state.r1])
+        h = append(cols[6], [profiles.h(r1, side="above")])
+        mu = append(cols[7], [profiles.mu(r1)])
+        r = append(r, [r1])
     # v/V0 = (r0/r)**2 = lam_r, defined also where the solved V0 rounds to 0
     table = _Table(PROFILE_FIELDS, [r, side, *cols[1:5], cols[3], h, mu])
-    doc = _doc(cfg, state=None if state is None else dataclasses.asdict(state), rows=table)
-    _write(cfg, doc, table)
+    _write(cfg, _doc(cfg, state=state, rows=table), table)
     return EXIT_OK
 
 

@@ -28,12 +28,18 @@ that bead radius, so every row matches solve bit for bit.  solve keeps its
 scalar root finder, which is about forty times faster for a single state.
 `accrete sweep` solves a long table with solve_eta, and a short one row by
 row with solve's root finder, which gives the same bits without numpy.
+
+The solver works on plain floats: _scale_values, _solve, _solve_eta and
+_solve_rows return the fields as tuples, in _SCALES and _STATE order.  The
+records ModelParams, Scales and TreadmillState, and compute_scales, solve
+and solve_eta, which wrap those tuples, are dataclasses in accrete.records;
+this module takes their names from there on first use.  The CLI writes the
+tuples, so it never imports dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .strain_energy import ReducedEnergy, _elementwise, _geomspace
@@ -82,81 +88,27 @@ class NumericFailure(RuntimeError):
     """Root bracketing or iteration failed; indicates a malformed energy."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """All physical constants of the model.
-
-    Parameters
-    ----------
-    energy : ReducedEnergy
-        Reduced strain energy of the solid.
-    b0, b1 : float
-        Kinetic moduli of the inner and outer surfaces, > 0.
-    muR0, muR1 : float
-        Referential chemical potentials assigned to bound material at the
-        inner and outer surfaces.
-    mu_inf : float
-        Remote chemical potential of the free particles.
-    rhoR : float
-        Referential density, > 0.
-    M : float
-        Particle mobility inside the solid, > 0.
-    r0 : float
-        Bead radius, > 0.
-    """
-
-    energy: ReducedEnergy
-    b0: float
-    b1: float
-    muR0: float
-    muR1: float
-    mu_inf: float
-    rhoR: float
-    M: float
-    r0: float
-
-    def __post_init__(self):
-        for name in ("b0", "b1", "rhoR", "M", "r0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+# The fields of accrete.records' Scales and TreadmillState, in order: the
+# solver returns their values as tuples, and the CLI writes them by these names.
+_SCALES = ("Vstar", "Vstarstar", "ellStar", "muStar", "eta")
+_STATE = ("nu", "r1", "d", "V0", "V1", "mu0", "mu1", "f0", "f1")
+# Names that __getattr__ takes from accrete.records on first use.
+_RECORDS = ("ModelParams", "Scales", "TreadmillState", "compute_scales", "solve", "solve_eta")
 
 
-@dataclass(frozen=True)
-class Scales:
-    """Characteristic scales derived from ModelParams.
-
-    Vstar and Vstarstar are velocity scales, ellStar a diffusion length,
-    muStar the kinetics-weighted mean referential potential, and
-    eta = r0/ellStar the nondimensional bead radius.
-    """
-
-    Vstar: float
-    Vstarstar: float
-    ellStar: float
-    muStar: float
-    eta: float
+def __getattr__(name):
+    if name not in _RECORDS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import records
+    globals()[name] = getattr(records, name)
+    return globals()[name]
 
 
-@dataclass
-class TreadmillState:
-    """The full steady solution.
-
-    V1 = -V0 and mu1 = mu_inf hold in every treadmilling state; f0 and f1
-    are the driving forces b0 V0 and b1 V1.  solve gives floats; solve_eta
-    gives one state whose fields are float64 arrays, one element per eta.
-    A plain dataclass, mutable and unhashable: building a frozen one took
-    about a fifth of a solve.
-    """
-
-    nu: float
-    r1: float
-    d: float
-    V0: float
-    V1: float
-    mu0: float
-    mu1: float
-    f0: float
-    f1: float
+def _check_params(params) -> None:
+    """Raise ValueError unless b0, b1, rhoR, M and r0 of params are positive."""
+    for name in ("b0", "b1", "rhoR", "M", "r0"):
+        if not getattr(params, name) > 0.0:
+            raise ValueError(f"{name} must be positive")
 
 
 class Solvability(NamedTuple):
@@ -166,17 +118,8 @@ class Solvability(NamedTuple):
     reason: str | None = None
 
 
-def compute_scales(params: ModelParams) -> Scales:
-    """Characteristic velocity, length and potential scales.
-
-    Raises ValueError when a scale leaves the float range, as it does for
-    rhoR = 1e-200, whose square underflows to zero.
-    """
-    return Scales(*_scale_values(params))
-
-
 def _scale_values(params: ModelParams) -> tuple[float, float, float, float, float]:
-    """The fields of compute_scales(params) as a tuple of floats, in order."""
+    """The fields of compute_scales(params) as a tuple of floats, in _SCALES order."""
     bsum = params.b0 + params.b1
     try:
         ellStar = bsum * params.M / params.rhoR**2
@@ -190,7 +133,7 @@ def _scale_values(params: ModelParams) -> tuple[float, float, float, float, floa
     # x - x is 0 for a finite x, else NaN; half the time of math.isfinite on each
     if (Vstar - Vstar) + (Vstarstar - Vstarstar) + (ellStar - ellStar) + (muStar - muStar) + (
             eta - eta) != 0.0:
-        name = next(f.name for f, v in zip(fields(Scales), values) if not math.isfinite(v))
+        name = next(name for name, v in zip(_SCALES, values) if not math.isfinite(v))
         raise ValueError(f"scale {name} is not finite")
     return values
 
@@ -461,37 +404,28 @@ def _drive(params: ModelParams, Vstar: float, Vstarstar: float) -> float:
     return drive
 
 
-def _state(params: ModelParams, Vstar, Vstarstar, nu, w_nu, r0, mu1) -> TreadmillState:
-    """Back-substitute the state at nu from w(nu) and r0: floats, or
-    float64 arrays with mu1 filled to their shape.  Raises NumericFailure
-    when a field leaves the float range, as r1 = nu r0 does for a bead
-    near the top of it."""
+def _state(params: ModelParams, Vstar, Vstarstar, nu, w_nu, r0, mu1) -> tuple:
+    """Back-substitute the state at nu from w(nu) and r0, in _STATE order:
+    floats, or float64 arrays with mu1 filled to their shape.  Raises
+    NumericFailure when a field leaves the float range, as r1 = nu r0 does
+    for a bead near the top of it."""
     V0 = Vstarstar + w_nu / params.b1
     mu0 = params.mu_inf - (params.b0 + params.b1) * (Vstar - V0) / params.rhoR
     r1, f0, f1 = nu * r0, params.b0 * V0, params.b1 * (-V0)
-    st = TreadmillState(nu, r1, (nu - 1.0) * r0, V0, -V0, mu0, mu1, f0, f1)
+    st = nu, r1, (nu - 1.0) * r0, V0, -V0, mu0, mu1, f0, f1
     # x - x is 0 for a finite x, else NaN; nu, d, V0, V1 are finite if r1, f0 are
     gap = (r1 - r1) + (mu0 - mu0) + (f0 - f0) + (f1 - f1)
     if gap == 0.0 if isinstance(gap, float) else (gap == 0.0).all():
         return st
     if not isinstance(gap, float):  # the first bad row, where _solve_rows stops
         i = int((gap != 0.0).argmax())
-        st = TreadmillState(*(float(v[i]) for v in vars(st).values()))
-    name = next(name for name, x in vars(st).items() if not math.isfinite(x))
-    raise NumericFailure(f"non-finite value in the output: {name} = {getattr(st, name)!r}")
+        st = [float(v[i]) for v in st]
+    name, x = next((name, x) for name, x in zip(_STATE, st) if not math.isfinite(x))
+    raise NumericFailure(f"non-finite value in the output: {name} = {x!r}")
 
 
-def solve(params: ModelParams) -> TreadmillState:
-    """Solve the treadmilling system.
-
-    Raises NoTreadmillingState when the existence conditions fail, and
-    NumericFailure if bracket expansion passes lam = 1e9 (unreachable for
-    energies that grow without bound) or a field leaves the float range.
-
-    The equation is solved in the nondimensional variables
-    (u = nu - 1, V/Vstar, w/(b1 Vstar)) so conditioning is uniform across
-    many decades of eta; outputs are dimensional.
-    """
+def _solve(params: ModelParams) -> tuple:
+    """The fields of solve(params) as a tuple of floats, in _STATE order."""
     Vstar, Vstarstar, nu, w_nu = _root(params)
     return _state(params, Vstar, Vstarstar, nu, float(w_nu), params.r0, params.mu_inf)
 
@@ -503,19 +437,8 @@ def _root(params: ModelParams) -> tuple[float, float, float, float]:
     return Vstar, Vstarstar, nu, w_nu
 
 
-def solve_eta(params: ModelParams, eta) -> TreadmillState:
-    """Solve the treadmilling system at every bead radius r0 = eta * ellStar.
-
-    eta is a 1-D array of nondimensional bead radii; params.r0 is not used.
-    Returns one TreadmillState whose fields are float64 arrays, element i
-    bit for bit the state solve(dataclasses.replace(params, r0=r0[i])) with
-    r0 = eta * ellStar.  That solve works at (eta * ellStar)/ellStar, which
-    can differ from eta in the last bit, and so does this one.
-
-    Raises NoTreadmillingState as solve does; ValueError when some r0 is not
-    positive or its eta is not finite, as building those params or their
-    scales would; and NumericFailure when solve would for some element.
-    """
+def _solve_eta(params: ModelParams, eta) -> tuple:
+    """The fields of solve_eta(params, eta) as a tuple of float64 arrays."""
     import numpy as np
     Vstar, Vstarstar, ellStar, _, _ = _solvable_scales(params)
     eta = np.asarray(eta, dtype=float)
@@ -537,9 +460,9 @@ def solve_eta(params: ModelParams, eta) -> TreadmillState:
         return _state(params, Vstar, Vstarstar, nu, w_nu, r0, np.full_like(nu, params.mu_inf))
 
 
-def _solve_rows(params: ModelParams, eta: list) -> list[TreadmillState]:
-    """solve_eta on a list of floats, without numpy: the same checks of
-    every row first, then solve's root finder row by row; a list of states."""
+def _solve_rows(params: ModelParams, eta: list) -> list[tuple]:
+    """_solve_eta on a list of floats, without numpy: the same checks of
+    every row first, then solve's root finder row by row; a list of tuples."""
     Vstar, Vstarstar, ellStar, _, _ = _solvable_scales(params)
     r0 = [e * ellStar for e in eta]
     if not all(r > 0.0 for r in r0):

@@ -801,9 +801,10 @@ def test_array_path_raises_no_numpy_warning(capsys, monkeypatch, argv):
 )
 def test_row_count_picks_the_path(capsys, monkeypatch, argv, traced):
     calls = []
-    for owner, name in ((cli.treadmill, "solve_eta"), (mechanics, "stress_profile")):
-        def spy(*args, _f=getattr(owner, name), _name=name, **kw):
-            calls.append(_name)
+    for owner, name, label in ((cli.treadmill, "_solve_eta", "solve_eta"),
+                               (mechanics, "stress_profile", "stress_profile")):
+        def spy(*args, _f=getattr(owner, name), _label=label, **kw):
+            calls.append(_label)
             return _f(*args, **kw)
         monkeypatch.setattr(owner, name, spy)
     assert run(capsys, argv)[0] == 0
@@ -852,7 +853,7 @@ def test_validate_passes_where_the_state_leaves_the_float_range(capsys, name):
     argv = NONFINITE_STATE_ARGV[name]
     cfg = cli._config_from_args(cli._build_parser().parse_args(["validate", *argv]))
     want = NONFINITE_STATES[name]
-    assert (cfg.params.energy.G, *dataclasses.astuple(cfg.params)[1:]) == (
+    assert (cfg.params.energy.G, *tuple(cfg.params)[1:]) == (
         want.energy.G, *dataclasses.astuple(want)[1:])
     code, out, err = run(capsys, ["validate", *argv])
     assert (code, err) == (0, "")

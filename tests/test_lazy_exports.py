@@ -54,7 +54,7 @@ def test_a_name_loads_only_its_module_and_stays_bound(child_env):
     assert ast.literal_eval(proc.stdout) == [
         [],
         True,
-        ["accrete.strain_energy", "accrete.treadmill"],
+        ["accrete.records", "accrete.strain_energy", "accrete.treadmill"],
         True,
-        ["accrete.mechanics", "accrete.strain_energy", "accrete.treadmill"],
+        ["accrete.mechanics", "accrete.records", "accrete.strain_energy", "accrete.treadmill"],
     ]

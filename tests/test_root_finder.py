@@ -349,30 +349,13 @@ def test_cli_import_does_not_load_scipy(child_env):
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_builds_three_dataclasses(child_env):
-    # a dataclass decoration execs its generated methods, about 1 ms of a
-    # cold start each; the other accrete classes build without exec
-    code = """if True:
-        import sys, accrete.cli
-        print(sorted(cls.__qualname__ for name, module in list(sys.modules.items())
-                     if name.split(".")[0] == "accrete"
-                     for cls in vars(module).values()
-                     if isinstance(cls, type) and cls.__module__ == name
-                     and hasattr(cls, "__dataclass_fields__")))
-    """
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['ModelParams', 'Scales', 'TreadmillState']"
-
-
 COLD_CODE = """
 import sys
 
 def loaded():
     return [sorted(m[8:] for m in sys.modules if m.startswith("accrete.")),
-            "json" in sys.modules, "numpy" in sys.modules]
+            "json" in sys.modules, "numpy" in sys.modules,
+            sorted({"dataclasses", "inspect"}.intersection(sys.modules))]
 
 import accrete
 after_package = loaded()
@@ -386,7 +369,8 @@ print(repr([after_package, after_cli, loaded(), code]))
 def run_cold(child_env, tmp_path, argv):
     """Of one cold process running cli.main(argv): [numpy loaded after
     import accrete, after import accrete.cli, after the run, exit code],
-    and [accrete's modules loaded, json loaded] at the same three points."""
+    [accrete's modules loaded, json loaded] at the same three points, and
+    which of dataclasses and inspect are loaded at them."""
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-c", COLD_CODE, *argv, "--out", str(out)],
@@ -398,7 +382,8 @@ def run_cold(child_env, tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_size > 0
     *points, code = ast.literal_eval(proc.stdout)
-    return [numpy for _, _, numpy in points] + [code], [[modules, json] for modules, json, _ in points]
+    return ([numpy for _, _, numpy, _ in points] + [code],
+            [[modules, json] for modules, json, _, _ in points], [slow for *_, slow in points])
 
 
 @pytest.mark.parametrize(
@@ -437,6 +422,14 @@ def test_each_command_loads_only_the_modules_it_runs(child_env, tmp_path, argv, 
     what every command needs, and only JSON output loads json."""
     table = run_cold(child_env, tmp_path, [*argv, "--format", fmt])[1]
     assert table == [[[], False], [CLI_MODULES, False], [modules, fmt == "json"]]
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect(child_env, tmp_path):
+    # dataclasses imports inspect, and the two cost about 8 ms of a cold
+    # start; the commands write the solver's tuples, not accrete.records
+    for argv in (["solve"], ["validate"], ["sweep"], ["profiles"]):
+        for fmt in ("csv", "json"):
+            assert run_cold(child_env, tmp_path, [*argv, "--format", fmt])[2] == [[], [], []], argv
 
 
 def test_failing_validate_loads_no_numpy(child_env, tmp_path):

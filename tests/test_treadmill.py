@@ -386,7 +386,7 @@ def test_solve_eta_matches_solve_bit_for_bit(kw, etas):
         [dataclasses.astuple(solve(dataclasses.replace(p, r0=eta * ell))) for eta in etas.tolist()]
     )
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    rows = np.array([dataclasses.astuple(st) for st in treadmill._solve_rows(p, etas.tolist())])
+    rows = np.array([tuple(st) for st in treadmill._solve_rows(p, etas.tolist())])
     assert rows.shape == (len(etas), 9)
     np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
 
