@@ -62,7 +62,7 @@ def test_records_keep_their_contract():
     for frozen in (p, s):
         hash(frozen)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            frozen.eta = 1.0
+            setattr(frozen, names(type(frozen))[-1], 1.0)
     assert st.__hash__ is None
     st.nu = 2.0
     assert st.nu == 2.0
